@@ -43,9 +43,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, node_id={self.node_id})"
 
@@ -457,10 +454,6 @@ def im2col(x, kernel: int, stride: int, pad: int) -> Tensor:
         return acc[:-1].reshape(c, h, w)
 
     return _apply(out, (x, vjp))
-
-
-def conv_out_hw(h: int, w: int, kernel: int, stride: int, pad: int) -> tuple[int, int]:
-    return (h + 2 * pad - kernel) // stride + 1, (w + 2 * pad - kernel) // stride + 1
 
 
 # ---------------------------------------------------------------------------

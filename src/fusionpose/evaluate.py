@@ -3,17 +3,21 @@
 This is the only place ground-truth 3D poses are read. Sliding windows
 are scored frame by frame, so a (track, frame) pair seen by several
 windows contributes once per window; n_samples counts scored poses.
+The network encodes each (frame, person) once per pass; the windows
+that share a frame reuse its encoded feature.
 """
 
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataio import InstanceDataset
+from .autodiff import Tensor
+from .dataio import InstanceDataset, InstanceSample
 from .geometry import SkeletonSpec, default_skeleton
 from .metrics import MetricAccumulator, MetricReport, mpjpe, pck
 from .model import FusionPoseModel
@@ -26,6 +30,27 @@ def baseline_pose(box_center: np.ndarray, spec: SkeletonSpec | None = None) -> n
     spec = spec or default_skeleton()
     rest = rest_pose(spec)
     return rest - rest[spec.root_index] + np.asarray(box_center)
+
+
+def _model_poses(model: FusionPoseModel, dataset: InstanceDataset,
+                 point_budget: int | None = None, occlusion: float = 0.0,
+                 seed: int = 0) -> Iterator[tuple[InstanceSample, list[np.ndarray]]]:
+    """Each window with its predicted final poses, in dataset order.
+
+    Windows share FrameSample objects, and ``model_frames`` gives the
+    same input for the same FrameSample within one call (the resampling
+    is seeded per frame and person), so each frame is encoded once and
+    its feature reused by every later window holding it. The features
+    live only for this call: the weights may change between passes.
+    """
+    encoded: dict[int, Tensor] = {}
+    for sample in dataset.samples:
+        frames = dataset.model_frames(sample, point_budget, occlusion, seed)
+        for fs, frame in zip(sample.frames, frames):
+            if id(fs) not in encoded:
+                encoded[id(fs)] = model.encode(frame)
+        outs = model.forward(frames, [encoded[id(fs)] for fs in sample.frames])
+        yield sample, [o.final_pose.data for o in outs]
 
 
 @dataclass
@@ -50,17 +75,17 @@ def evaluate_dataset(model: FusionPoseModel | None, dataset: InstanceDataset,
     spec = default_skeleton()
     acc = MetricAccumulator(spec, bone_samples, squared_cd)
     windows: list[WindowScore] = []
-    for sample in dataset.samples:
-        if mode == "model":
-            frames = dataset.model_frames(sample, point_budget, occlusion, seed)
-            outs = model.forward(frames)
-            preds = [o.final_pose.data for o in outs]
-        elif mode == "baseline":
-            preds = [baseline_pose(fs.box_center, spec) for fs in sample.frames]
-        elif mode == "oracle":
-            preds = [fs.gt_pose3d for fs in sample.frames]
-        else:
-            raise ValueError(f"unknown eval mode {mode!r}")
+    if mode == "model":
+        predictions = _model_poses(model, dataset, point_budget, occlusion, seed)
+    elif mode == "baseline":
+        predictions = ((s, [baseline_pose(fs.box_center, spec) for fs in s.frames])
+                       for s in dataset.samples)
+    elif mode == "oracle":
+        predictions = ((s, [fs.gt_pose3d for fs in s.frames])
+                       for s in dataset.samples)
+    else:
+        raise ValueError(f"unknown eval mode {mode!r}")
+    for sample, preds in predictions:
         errs = []
         for fs, pred in zip(sample.frames, preds):
             gt = fs.gt_pose3d
@@ -94,12 +119,12 @@ def export_poses(model: FusionPoseModel | None, dataset: InstanceDataset,
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sequence", "track_id", "frame", "joint", "x", "y", "z"])
-        for sample in dataset.samples:
-            if use_gt:
-                preds = [fs.gt_pose3d for fs in sample.frames]
-            else:
-                frames = dataset.model_frames(sample)
-                preds = [o.final_pose.data for o in model.forward(frames)]
+        if use_gt:
+            predictions = ((s, [fs.gt_pose3d for fs in s.frames])
+                           for s in dataset.samples)
+        else:
+            predictions = _model_poses(model, dataset)
+        for sample, preds in predictions:
             for fs, pose in zip(sample.frames, preds):
                 for j, (x, y, z) in enumerate(pose):
                     writer.writerow([sample.sequence_name, sample.track_id,

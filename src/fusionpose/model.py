@@ -1,8 +1,10 @@
 """The learnable network: point/image encoders, cross-attention fusion,
 and the temporal pose estimator with its three heads.
 
-All dense math lives on the autodiff tape. A single forward consumes one
-instance window (T frames of one tracked person) and emits per-frame
+All dense math lives on the autodiff tape. Each frame is encoded on its
+own (point and image encoders, fusion, max-pool to one feature vector);
+frames meet only in the temporal estimator. A single forward consumes
+one instance window (T frames of one tracked person) and emits per-frame
 motion, positions, per-joint features, and the combined final pose.
 Feature widths default to the published dimensions (256-wide features,
 tokens at 1/8 resolution, bi-GRU with 128 hidden per direction) and
@@ -201,7 +203,7 @@ class CrossAttentionFusion:
 
 
 class TemporalEstimator:
-    """Max-pool per frame, bi-GRU across the window, three MLP heads,
+    """Bi-GRU across the window's pooled frame features, three MLP heads,
     and the per-joint combiner producing the final pose."""
 
     _GATES = ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")
@@ -241,9 +243,8 @@ class TemporalEstimator:
             states.append(h)
         return states
 
-    def __call__(self, fused_frames, box_centers) -> list[FrameOutput]:
+    def __call__(self, pooled, box_centers) -> list[FrameOutput]:
         k, c = self.cfg.n_joints, self.cfg.joint_feat_dim
-        pooled = [ad.max_over_rows(f) for f in fused_frames]
         fwd = self._run_gru(pooled, "fwd")
         bwd = self._run_gru(pooled[::-1], "bwd")[::-1]
         outputs = []
@@ -279,14 +280,16 @@ def lookup_weights(points_world: np.ndarray, calib: Calibration,
     gu = cu / 8.0 - 0.5
     gv = cv / 8.0 - 0.5
     ok = valid & (gu > -1.0) & (gu < grid) & (gv > -1.0) & (gv < grid)
-    for i in np.nonzero(ok)[0]:
-        x0, y0 = int(np.floor(gu[i])), int(np.floor(gv[i]))
-        fx, fy = gu[i] - x0, gv[i] - y0
-        for dy, wy in ((0, 1.0 - fy), (1, fy)):
-            for dx, wx in ((0, 1.0 - fx), (1, fx)):
-                xx, yy = x0 + dx, y0 + dy
-                if 0 <= xx < grid and 0 <= yy < grid and wx * wy > 0.0:
-                    weights[i, yy * grid + xx] = wx * wy
+    rows = np.nonzero(ok)[0]
+    x0, y0 = np.floor(gu[rows]), np.floor(gv[rows])
+    fx, fy = gu[rows] - x0, gv[rows] - y0
+    x0, y0 = x0.astype(np.int64), y0.astype(np.int64)
+    for dy, wy in ((0, 1.0 - fy), (1, fy)):
+        for dx, wx in ((0, 1.0 - fx), (1, fx)):
+            xx, yy = x0 + dx, y0 + dy
+            w = wx * wy
+            keep = (xx >= 0) & (xx < grid) & (yy >= 0) & (yy < grid) & (w > 0.0)
+            weights[rows[keep], (yy * grid + xx)[keep]] = w[keep]
     return weights
 
 
@@ -359,13 +362,24 @@ class FusionPoseModel:
         broadcast = ad.matmul(np.ones((cfg.n_points, 1)), g)
         return self.global_reduce(broadcast), None
 
-    def forward(self, frames: list[ModelFrame]) -> list[FrameOutput]:
+    def encode(self, frame: ModelFrame) -> ad.Tensor:
+        """The frame's max-pooled fused feature, (1, width)."""
+        return ad.max_over_rows(self.fuse_frame(frame)[0])
+
+    def forward(self, frames: list[ModelFrame],
+                encoded: list[ad.Tensor] | None = None) -> list[FrameOutput]:
+        """Outputs of one window. ``encoded`` holds each frame's
+        ``encode`` result when the caller has them already; without it
+        every frame is encoded here."""
         if len(frames) != self.cfg.window:
             raise DimensionError(
                 f"expected {self.cfg.window} frames, got {len(frames)}")
-        fused = [self.fuse_frame(f)[0] for f in frames]
-        centers = [f.box_center for f in frames]
-        return self.temporal(fused, centers)
+        if encoded is None:
+            encoded = [self.encode(f) for f in frames]
+        elif len(encoded) != len(frames):
+            raise DimensionError(
+                f"{len(encoded)} encoded features for {len(frames)} frames")
+        return self.temporal(encoded, [f.box_center for f in frames])
 
 
 def build_model(cfg: ModelConfig, seed: int):

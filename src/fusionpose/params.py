@@ -4,11 +4,14 @@ Checkpoints use a flat little-endian binary layout (extension ``.fpck``):
 magic ``FPCK``, u32 version, u32 parameter count, then per parameter a
 u16 path length, the UTF-8 path, u8 rank, rank u32 dims, and the float64
 data. Optimizer moments are stored in the same file under reserved
-``__opt__.*`` paths so a checkpoint fully resumes training.
+``__opt__.*`` paths so a checkpoint fully resumes training. A file is
+written under a temporary name and renamed into place, so a crash
+mid-write never leaves a truncated checkpoint under its real name.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -75,9 +78,6 @@ class ParameterStore:
     def paths(self) -> list[str]:
         return sorted(self._params)
 
-    def n_scalars(self) -> int:
-        return sum(t.data.size for t in self._params.values())
-
     # -- serialization ------------------------------------------------------
 
     def save(self, path: str | Path, extra: dict[str, np.ndarray] | None = None) -> None:
@@ -86,17 +86,27 @@ class ParameterStore:
         ]
         for key in sorted(extra or {}):
             entries.append((key, np.asarray(extra[key], dtype=np.float64)))
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<II", _VERSION, len(entries)))
-            for name, arr in entries:
-                raw = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(raw)))
-                fh.write(raw)
-                fh.write(struct.pack("<B", arr.ndim))
-                for dim in arr.shape:
-                    fh.write(struct.pack("<I", dim))
-                fh.write(arr.astype("<f8").tobytes())
+        path = Path(path)
+        # The temporary name must not match the ``epoch_*.fpck`` glob.
+        tmp = path.with_name(path.name + ".tmp")
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(_MAGIC)
+                fh.write(struct.pack("<II", _VERSION, len(entries)))
+                for name, arr in entries:
+                    raw = name.encode("utf-8")
+                    fh.write(struct.pack("<H", len(raw)))
+                    fh.write(raw)
+                    fh.write(struct.pack("<B", arr.ndim))
+                    for dim in arr.shape:
+                        fh.write(struct.pack("<I", dim))
+                    fh.write(arr.astype("<f8").tobytes())
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @staticmethod
     def read_entries(path: str | Path) -> dict[str, np.ndarray]:
@@ -104,23 +114,32 @@ class ParameterStore:
             blob = fh.read()
         if blob[:4] != _MAGIC:
             raise CheckpointMismatchError(f"{path}: not a checkpoint file")
-        version, count = struct.unpack_from("<II", blob, 4)
+        offset = 4
+
+        def take(size: int) -> int:
+            nonlocal offset
+            if offset + size > len(blob):
+                raise CheckpointMismatchError(
+                    f"{path}: truncated at byte {len(blob)} "
+                    f"(needs {offset + size})")
+            start, offset = offset, offset + size
+            return start
+
+        version, count = struct.unpack_from("<II", blob, take(8))
         if version != _VERSION:
             raise CheckpointMismatchError(f"{path}: unsupported version {version}")
-        offset = 12
         entries: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (nlen,) = struct.unpack_from("<H", blob, offset)
-            offset += 2
-            name = blob[offset : offset + nlen].decode("utf-8")
-            offset += nlen
-            (rank,) = struct.unpack_from("<B", blob, offset)
-            offset += 1
-            dims = struct.unpack_from(f"<{rank}I", blob, offset)
-            offset += 4 * rank
+            (nlen,) = struct.unpack_from("<H", blob, take(2))
+            start = take(nlen)
+            try:
+                name = blob[start : start + nlen].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointMismatchError(f"{path}: bad parameter name") from exc
+            (rank,) = struct.unpack_from("<B", blob, take(1))
+            dims = struct.unpack_from(f"<{rank}I", blob, take(4 * rank))
             n = int(np.prod(dims)) if rank else 1
-            arr = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).copy()
-            offset += 8 * n
+            arr = np.frombuffer(blob, dtype="<f8", count=n, offset=take(8 * n)).copy()
             entries[name] = arr.reshape(dims)
         return entries
 

@@ -126,18 +126,28 @@ def write_sequence(path: str | Path, data: SequenceData) -> None:
 
 
 class _Cursor:
-    def __init__(self, blob: bytes):
+    """Sequential reader that raises InvalidInputError past the end."""
+
+    def __init__(self, blob: bytes, path):
         self.blob = blob
+        self.path = path
         self.pos = 0
 
+    def _take(self, size: int) -> int:
+        if self.pos + size > len(self.blob):
+            raise InvalidInputError(
+                f"{self.path}: truncated at byte {len(self.blob)} "
+                f"(needs {self.pos + size})")
+        start = self.pos
+        self.pos += size
+        return start
+
     def unpack(self, fmt: str):
-        vals = struct.unpack_from(fmt, self.blob, self.pos)
-        self.pos += struct.calcsize(fmt)
-        return vals
+        return struct.unpack_from(fmt, self.blob, self._take(struct.calcsize(fmt)))
 
     def array(self, dtype: str, count: int, shape) -> np.ndarray:
-        arr = np.frombuffer(self.blob, dtype=dtype, count=count, offset=self.pos)
-        self.pos += arr.nbytes
+        start = self._take(count * np.dtype(dtype).itemsize)
+        arr = np.frombuffer(self.blob, dtype=dtype, count=count, offset=start)
         return arr.reshape(shape).copy()
 
 
@@ -145,7 +155,7 @@ def read_sequence(path: str | Path) -> SequenceData:
     blob = Path(path).read_bytes()
     if blob[: len(MAGIC)] != MAGIC:
         raise InvalidInputError(f"{path}: not a sequence file")
-    cur = _Cursor(blob)
+    cur = _Cursor(blob, path)
     cur.pos = len(MAGIC)
     version, n_frames, n_persons, h, w, has_gt = cur.unpack("<IIHHHB")
     if version != VERSION:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,16 +42,12 @@ class TrainState:
     """Resumable training position.
 
     The PRNG state is the (seed, epoch) pair: batch order derives from
-    them, so no raw generator state needs serializing. best_val_pck is a
-    persisted slot for callers that interleave validation; the training
-    loop itself never evaluates (it must not touch GT).
+    them, so no raw generator state needs serializing.
     """
 
     epoch: int = 0  # completed epochs
     step: int = 0
-    best_val_pck: float = -1.0
     seed: int = 0
-    running: dict[str, float] = field(default_factory=dict)
 
 
 def sequence_loss(model: FusionPoseModel, frames, sample: InstanceSample,
@@ -135,7 +131,6 @@ def save_checkpoint(store: ParameterStore, path: str | Path,
     extra["__cfg__.fusion"] = np.asarray(float(FUSION_VARIANTS.index(model_cfg.fusion)))
     extra["__state__.epoch"] = np.asarray(float(state.epoch))
     extra["__state__.step"] = np.asarray(float(state.step))
-    extra["__state__.best_val_pck"] = np.asarray(float(state.best_val_pck))
     extra["__state__.seed"] = np.asarray(float(state.seed))
     store.save(path, extra)
 
@@ -156,7 +151,6 @@ def load_checkpoint(store: ParameterStore, path: str | Path,
     return TrainState(
         epoch=int(extra.get("__state__.epoch", 0)),
         step=int(extra.get("__state__.step", 0)),
-        best_val_pck=float(extra.get("__state__.best_val_pck", -1.0)),
         seed=int(extra.get("__state__.seed", 0)),
     )
 

@@ -7,12 +7,12 @@ import pytest
 from fusionpose.cli import main
 from fusionpose.config import load_config
 from fusionpose.dataio import InstanceDataset, load_split
-from fusionpose.evaluate import read_exported_poses
+from fusionpose.evaluate import export_poses, read_exported_poses
 from fusionpose.geometry import default_skeleton
 from fusionpose.metrics import pck
 from fusionpose.model import FusionPoseModel
 from fusionpose.params import ParameterStore
-from fusionpose.train import Trainer, latest_checkpoint
+from fusionpose.train import Trainer, TrainState, latest_checkpoint, save_checkpoint
 
 TINY_CFG = """
 seed = 3
@@ -146,6 +146,40 @@ def test_exported_predictions_round_trip_exactly(workdir, tmp_path):
     outs = model.forward(data.model_frames(sample))
     key = (sample.sequence_name, sample.track_id, sample.frames[0].frame_index)
     np.testing.assert_array_equal(exported[key], outs[0].final_pose.data)
+
+
+def test_export_matches_per_window_forward_byte_for_byte(workdir, tmp_path):
+    cfg = load_config(cfg_path(workdir))
+    data = InstanceDataset(load_split(cfg.path("dataset_dir"), "val"),
+                           cfg.model_config())
+    model = FusionPoseModel(cfg.model_config(), ParameterStore(seed=2))
+    out = tmp_path / "pred.csv"
+    export_poses(model, data, out)
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sequence", "track_id", "frame", "joint", "x", "y", "z"])
+        for sample in data.samples:
+            outs = model.forward(data.model_frames(sample))
+            for fs, o in zip(sample.frames, outs):
+                for j, xyz in enumerate(o.final_pose.data):
+                    writer.writerow([sample.sequence_name, sample.track_id,
+                                     fs.frame_index, j,
+                                     *(repr(float(v)) for v in xyz)])
+    assert out.read_bytes() == reference.read_bytes()
+
+
+def test_truncated_checkpoint_exits_3(workdir, tmp_path, capsys):
+    cfg = cfg_path(workdir)
+    good = tmp_path / "good.fpck"
+    bad = tmp_path / "bad.fpck"
+    store = ParameterStore(seed=1)
+    model_cfg = load_config(cfg).model_config()
+    FusionPoseModel(model_cfg, store)
+    save_checkpoint(store, good, model_cfg, TrainState())
+    bad.write_bytes(good.read_bytes()[:-5])
+    assert main(["eval", "--config", cfg, "--checkpoint", str(bad)]) == 3
+    assert "truncated" in capsys.readouterr().err
 
 
 def test_resume_reproduces_uninterrupted_trajectory(workdir, tmp_path):

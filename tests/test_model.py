@@ -3,6 +3,7 @@ import pytest
 
 from fusionpose import autodiff as ad
 from fusionpose.errors import ConfigError, DimensionError
+from fusionpose.geometry import project
 from fusionpose.model import (FUSION_VARIANTS, FusionPoseModel, ModelConfig,
                               ModelFrame, build_model, lookup_weights)
 from fusionpose.synthdata.generate import default_calibration
@@ -163,6 +164,51 @@ def test_lookup_weights_rows_sum_to_at_most_one():
     # points far outside the crop give all-zero rows
     far = np.array([[5.0, 50.0, 1.0]])
     assert lookup_weights(far, CALIB, (20.0, 20.0, 76.0, 76.0), 16).sum() == 0.0
+
+
+def lookup_weights_loop(points_world, calib, box2d, image_hw):
+    """Per-point reference for the vectorized ``lookup_weights``."""
+    grid = image_hw // 8
+    weights = np.zeros((len(points_world), grid * grid))
+    pixels, valid = project(points_world, calib)
+    u0, v0, u1, v1 = box2d
+    gu = (pixels[:, 0] - u0) / (u1 - u0) * image_hw / 8.0 - 0.5
+    gv = (pixels[:, 1] - v0) / (v1 - v0) * image_hw / 8.0 - 0.5
+    ok = valid & (gu > -1.0) & (gu < grid) & (gv > -1.0) & (gv < grid)
+    for i in np.nonzero(ok)[0]:
+        x0, y0 = int(np.floor(gu[i])), int(np.floor(gv[i]))
+        fx, fy = gu[i] - x0, gv[i] - y0
+        for dy, wy in ((0, 1.0 - fy), (1, fy)):
+            for dx, wx in ((0, 1.0 - fx), (1, fx)):
+                xx, yy = x0 + dx, y0 + dy
+                if 0 <= xx < grid and 0 <= yy < grid and wx * wy > 0.0:
+                    weights[i, yy * grid + xx] = wx * wy
+    return weights
+
+
+@pytest.mark.parametrize("box2d", [(20.0, 20.0, 76.0, 76.0), (40.0, 30.0, 56.0, 70.0)])
+def test_lookup_weights_matches_per_point_loop(box2d):
+    rng = np.random.default_rng(17)
+    pts = np.stack([rng.uniform(-2, 9, 400), rng.uniform(-4, 4, 400),
+                    rng.uniform(-1, 3, 400)], axis=1)
+    for image_hw in (16, 32):
+        got = lookup_weights(pts, CALIB, box2d, image_hw)
+        want = lookup_weights_loop(pts, CALIB, box2d, image_hw)
+        assert 0 < np.count_nonzero(got.sum(axis=1)) < len(pts)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_forward_with_encoded_frames_matches_plain_forward():
+    cfg = tiny_config()
+    model, _ = build_model(cfg, seed=3)
+    frames = make_frames(cfg, seed=4)
+    plain = model.forward(frames)
+    encoded = model.forward(frames, [model.encode(f) for f in frames])
+    for a, b in zip(plain, encoded):
+        assert a.final_pose.data.tobytes() == b.final_pose.data.tobytes()
+        assert a.motion.data.tobytes() == b.motion.data.tobytes()
+    with pytest.raises(DimensionError):
+        model.forward(frames, [model.encode(frames[0])])
 
 
 # -- temporal behaviour ----------------------------------------------------------------

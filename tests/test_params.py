@@ -1,8 +1,14 @@
+import builtins
+
 import numpy as np
 import pytest
 
+from fusionpose import params
 from fusionpose.errors import CheckpointMismatchError, ContractError
+from fusionpose.model import ModelConfig, build_model
 from fusionpose.params import Adam, ParameterStore
+from fusionpose.train import (TrainState, latest_checkpoint, load_checkpoint,
+                              save_checkpoint)
 
 
 def test_paths_iterate_lexicographically():
@@ -78,6 +84,81 @@ def test_not_a_checkpoint_file(tmp_path):
     path.write_bytes(b"not a checkpoint")
     with pytest.raises(CheckpointMismatchError):
         ParameterStore.read_entries(path)
+
+
+def small_store(seed=8):
+    store = ParameterStore(seed=seed)
+    store.weight("layer.w", (3, 2))
+    store.zeros("layer.b", (2,))
+    return store
+
+
+def test_every_truncated_checkpoint_raises_mismatch(tmp_path):
+    path = tmp_path / "m.fpck"
+    small_store().save(path, extra={"__state__.epoch": np.asarray(2.0)})
+    blob = path.read_bytes()
+    assert ParameterStore.read_entries(path)["layer.w"].shape == (3, 2)
+    cut = tmp_path / "cut.fpck"
+    for n in range(len(blob)):
+        cut.write_bytes(blob[:n])
+        with pytest.raises(CheckpointMismatchError):
+            ParameterStore.read_entries(cut)
+
+
+class _FailingFile:
+    """Writes the first ``budget`` bytes, then fails like a full disk."""
+
+    def __init__(self, fh, budget):
+        self.fh, self.budget = fh, budget
+
+    def write(self, data):
+        if len(data) > self.budget:
+            self.fh.write(data[: self.budget])
+            raise OSError("no space left on device")
+        self.budget -= len(data)
+        return self.fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+        return False
+
+
+def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
+    first = tmp_path / "epoch_000.fpck"
+    small_store(seed=8).save(first)
+    before = first.read_bytes()
+    monkeypatch.setattr(params, "open",
+                        lambda path, mode: _FailingFile(builtins.open(path, mode), 40),
+                        raising=False)
+    for target in (tmp_path / "epoch_001.fpck", first):
+        with pytest.raises(OSError):
+            small_store(seed=9).save(target)
+    assert first.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["epoch_000.fpck"]
+    assert latest_checkpoint(tmp_path) == first
+
+
+def test_checkpoint_with_legacy_best_val_pck_loads(tmp_path):
+    cfg = ModelConfig(n_points=16, width=16, image_hw=16, joint_feat_dim=4,
+                      head_hidden=8)
+    _, store = build_model(cfg, seed=1)
+    current = tmp_path / "current.fpck"
+    save_checkpoint(store, current, cfg, TrainState(epoch=3, step=12, seed=1))
+    extra = {k: v for k, v in ParameterStore.read_entries(current).items()
+             if k.startswith("__")}
+    legacy = tmp_path / "legacy.fpck"
+    store.save(legacy, {**extra, "__state__.best_val_pck": np.asarray(71.5)})
+    _, fresh = build_model(cfg, seed=2)
+    state = load_checkpoint(fresh, legacy, cfg)
+    assert (state.epoch, state.step, state.seed) == (3, 12, 1)
+    for path, t in store.items():
+        np.testing.assert_array_equal(fresh[path].data, t.data)
 
 
 def test_adam_deterministic_and_descends():

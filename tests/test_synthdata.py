@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fusionpose.errors import InvalidInputError
+from fusionpose.errors import FusionPoseError, InvalidInputError
 from fusionpose.geometry import default_skeleton, project
 from fusionpose.synthdata import (BodyModel, DetectionJitter, GaitAmplitudes,
                                   LidarConfig, MotionScript, occlude_points,
@@ -316,6 +316,28 @@ def test_sequence_round_trip_is_exact(tmp_path):
             if po.det3d:
                 assert po.det3d.center == pg.det3d.center
                 assert po.det3d.size == pg.det3d.size
+
+
+def test_every_truncated_sequence_file_raises(tmp_path):
+    from fusionpose.association import Detection2D, Detection3D
+    from fusionpose.synthdata.seqfile import FrameRecord, PersonFrame, SequenceData
+    rng = np.random.default_rng(14)
+    frames = [FrameRecord(rng.normal(size=(3, 3)), np.zeros(3, dtype=int),
+                          rng.random((2, 2, 3)).astype(np.float32),
+                          [PersonFrame(rng.random((21, 2)), np.ones(21, dtype=bool),
+                                       Detection2D((1.0, 1.0, 5.0, 7.0), 0.9),
+                                       Detection3D((6.0, 0.0, 1.0), (1.0, 1.0, 2.0), 0.1),
+                                       rng.random((21, 3)))])
+              for _ in range(2)]
+    path = tmp_path / "seq.fpseq"
+    write_sequence(path, SequenceData(default_calibration(2, 2), frames, has_gt=True))
+    blob = path.read_bytes()
+    assert len(read_sequence(path).frames) == 2
+    cut = tmp_path / "cut.fpseq"
+    for n in range(len(blob)):
+        cut.write_bytes(blob[:n])
+        with pytest.raises(FusionPoseError):
+            read_sequence(cut)
 
 
 def test_header_frame_count_matches_frames_on_disk(tmp_path):
