@@ -16,8 +16,7 @@ from .config import RunConfig
 from .dataio import InstanceDataset, load_split
 from .errors import ConfigError
 from .evaluate import evaluate_dataset
-from .model import FUSION_VARIANTS, FusionPoseModel
-from .params import ParameterStore
+from .model import FUSION_VARIANTS, FusionPoseModel, ModelConfig, build_model
 from .train import Trainer
 
 STUDIES = ("fusion", "loss_components", "density", "occlusion")
@@ -42,11 +41,15 @@ class StudyRow:
     n_samples: int
 
 
+def _dataset(cfg: RunConfig, split: str, model_cfg: ModelConfig) -> InstanceDataset:
+    return InstanceDataset(load_split(cfg.path("dataset_dir"), split), model_cfg,
+                           cfg.iou_threshold, cfg.gate_distance, cfg.max_misses)
+
+
 def _train_and_eval(cfg: RunConfig, fusion: str, loss_overrides: dict | None,
                     train_data: InstanceDataset, val_data: InstanceDataset,
                     epochs: int) -> tuple[float, float, float, int]:
-    store = ParameterStore(seed=cfg.seed)
-    model = FusionPoseModel(cfg.model_config(fusion=fusion), store)
+    model, store = build_model(cfg.model_config(fusion=fusion), cfg.seed)
     trainer = Trainer(cfg, train_data, model, store, loss_overrides)
     trainer.train(checkpoint_dir=None, epochs=epochs)
     report, _ = evaluate_dataset(model, val_data, "val", cfg.bone_samples,
@@ -65,13 +68,8 @@ def run_study(cfg: RunConfig, study: str,
     rows: list[StudyRow] = []
 
     if study in ("fusion", "loss_components"):
-        mc = cfg.model_config()
-        train_data = InstanceDataset(load_split(cfg.path("dataset_dir"), "train"),
-                                     mc, cfg.iou_threshold, cfg.gate_distance,
-                                     cfg.max_misses)
-        val_data = InstanceDataset(load_split(cfg.path("dataset_dir"), "val"),
-                                   mc, cfg.iou_threshold, cfg.gate_distance,
-                                   cfg.max_misses)
+        train_data = _dataset(cfg, "train", cfg.model_config())
+        val_data = _dataset(cfg, "val", cfg.model_config())
         if study == "fusion":
             arms = [(variant, None) for variant in FUSION_VARIANTS]
         else:
@@ -85,9 +83,7 @@ def run_study(cfg: RunConfig, study: str,
 
     if model is None:
         raise ConfigError(f"study {study!r} evaluates a trained checkpoint")
-    val_data = InstanceDataset(load_split(cfg.path("dataset_dir"), "val"),
-                               model.cfg, cfg.iou_threshold, cfg.gate_distance,
-                               cfg.max_misses)
+    val_data = _dataset(cfg, "val", model.cfg)
     if study == "density":
         for budget in cfg.point_budgets:
             report, _ = evaluate_dataset(model, val_data, "val", cfg.bone_samples,

@@ -16,23 +16,36 @@ from .config import RunConfig, load_config
 from .dataio import InstanceDataset, load_split
 from .errors import CheckpointMismatchError, FusionPoseError
 from .evaluate import evaluate_dataset, export_poses, write_window_scores
-from .model import FusionPoseModel
-from .params import ParameterStore
+from .model import FusionPoseModel, build_model
 from .synthdata.generate import generate_dataset
 from .train import (Trainer, TrainingAborted, latest_checkpoint,
                     load_checkpoint, write_loss_log)
 
 
-def _load_model(cfg: RunConfig, checkpoint: str) -> FusionPoseModel:
-    store = ParameterStore(seed=cfg.seed)
-    model = FusionPoseModel(cfg.model_config(), store)
+def _trained_model(cfg: RunConfig, checkpoint: str | None) -> FusionPoseModel:
+    """The model in ``checkpoint``, or else in the newest checkpoint."""
+    checkpoint = checkpoint or latest_checkpoint(cfg.path("checkpoint_dir"))
+    if checkpoint is None:
+        raise FusionPoseError("no checkpoint given and none found")
+    model, store = build_model(cfg.model_config(), cfg.seed)
     load_checkpoint(store, checkpoint, model.cfg)
     return model
 
 
-def _dataset(cfg: RunConfig, split: str, model_cfg) -> InstanceDataset:
-    return InstanceDataset(load_split(cfg.path("dataset_dir"), split), model_cfg,
-                           cfg.iou_threshold, cfg.gate_distance, cfg.max_misses)
+def _dataset(cfg: RunConfig, split: str, sequence: str | None = None) -> InstanceDataset:
+    sequences = load_split(cfg.path("dataset_dir"), split)
+    if sequence:
+        if sequence not in sequences:
+            raise FusionPoseError(f"sequence {sequence!r} not in split {split!r}")
+        sequences = {sequence: sequences[sequence]}
+    return InstanceDataset(sequences, cfg.model_config(), cfg.iou_threshold,
+                           cfg.gate_distance, cfg.max_misses)
+
+
+def _out_path(cfg: RunConfig, out: str | None, default_name: str) -> Path:
+    path = Path(out) if out else cfg.path("report_dir") / default_name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def cmd_generate(args) -> int:
@@ -49,14 +62,10 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    model_cfg = cfg.model_config()
-    dataset = _dataset(cfg, "train", model_cfg)
-    store = ParameterStore(seed=cfg.seed)
-    model = FusionPoseModel(model_cfg, store)
-    trainer = Trainer(cfg, dataset, model, store)
+    model, store = build_model(cfg.model_config(), cfg.seed)
+    trainer = Trainer(cfg, _dataset(cfg, "train"), model, store)
     ckpt_dir = cfg.path("checkpoint_dir")
-    report_dir = cfg.path("report_dir")
-    report_dir.mkdir(parents=True, exist_ok=True)
+    log_path = _out_path(cfg, None, "loss_log.csv")
 
     def progress(row):
         parts = " ".join(f"{k}={row[k]:.4f}" for k in
@@ -64,12 +73,12 @@ def cmd_train(args) -> int:
         print(f"epoch={row['epoch']} step={row['step']} {parts}")
 
     if cfg.overfit_steps > 0:
-        rows = trainer.overfit(cfg.overfit_steps, progress=progress)
+        trainer.overfit(cfg.overfit_steps, progress=progress)
     else:
-        rows = trainer.train(checkpoint_dir=ckpt_dir, resume=not args.no_resume,
-                             progress=progress)
-    write_loss_log(trainer.log_rows, report_dir / "loss_log.csv")
-    print(f"loss log: {report_dir / 'loss_log.csv'}")
+        trainer.train(checkpoint_dir=ckpt_dir, resume=not args.no_resume,
+                      progress=progress)
+    write_loss_log(trainer.log_rows, log_path)
+    print(f"loss log: {log_path}")
     if cfg.overfit_steps == 0:
         print(f"checkpoints: {ckpt_dir}")
     return 0
@@ -77,21 +86,12 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
-    checkpoint = args.checkpoint or latest_checkpoint(cfg.path("checkpoint_dir"))
     mode = "oracle" if args.oracle else ("baseline" if args.baseline else "model")
-    model = None
-    if mode == "model":
-        if checkpoint is None:
-            raise FusionPoseError("no checkpoint given and none found")
-        model = _load_model(cfg, checkpoint)
-        dataset = _dataset(cfg, args.split, model.cfg)
-    else:
-        dataset = _dataset(cfg, args.split, cfg.model_config())
-    report, windows = evaluate_dataset(model, dataset, args.split,
+    model = _trained_model(cfg, args.checkpoint) if mode == "model" else None
+    report, windows = evaluate_dataset(model, _dataset(cfg, args.split), args.split,
                                        cfg.bone_samples, cfg.squared_cd,
                                        mode=mode)
-    out = Path(args.out) if args.out else cfg.path("report_dir") / f"metrics_{args.split}.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _out_path(cfg, args.out, f"metrics_{args.split}.csv")
     report.write_csv(out)
     write_window_scores(windows, out.with_name(out.stem + "_windows.csv"))
     print(f"split={report.split} pck={report.pck:.2f} mpjpe_mm={report.mpjpe_mm:.2f} "
@@ -102,15 +102,10 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = load_config(args.config)
-    model = None
-    if args.study in ("density", "occlusion"):
-        checkpoint = args.checkpoint or latest_checkpoint(cfg.path("checkpoint_dir"))
-        if checkpoint is None:
-            raise FusionPoseError(f"study {args.study!r} needs a trained checkpoint")
-        model = _load_model(cfg, checkpoint)
+    model = (_trained_model(cfg, args.checkpoint)
+             if args.study in ("density", "occlusion") else None)
     rows = run_study(cfg, args.study, model=model)
-    out = Path(args.out) if args.out else cfg.path("report_dir") / f"ablation_{args.study}.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _out_path(cfg, args.out, f"ablation_{args.study}.csv")
     write_study_csv(rows, out)
     for r in rows:
         print(f"{r.study}/{r.arm}: pck={r.pck:.2f} mpjpe_mm={r.mpjpe_mm:.2f} "
@@ -121,25 +116,9 @@ def cmd_ablate(args) -> int:
 
 def cmd_export_poses(args) -> int:
     cfg = load_config(args.config)
-    model = None
-    if not args.gt:
-        checkpoint = args.checkpoint or latest_checkpoint(cfg.path("checkpoint_dir"))
-        if checkpoint is None:
-            raise FusionPoseError("no checkpoint given and none found")
-        model = _load_model(cfg, checkpoint)
-        model_cfg = model.cfg
-    else:
-        model_cfg = cfg.model_config()
-    sequences = load_split(cfg.path("dataset_dir"), args.split)
-    if args.sequence:
-        if args.sequence not in sequences:
-            raise FusionPoseError(f"sequence {args.sequence!r} not in split "
-                                  f"{args.split!r}")
-        sequences = {args.sequence: sequences[args.sequence]}
-    dataset = InstanceDataset(sequences, model_cfg, cfg.iou_threshold,
-                              cfg.gate_distance, cfg.max_misses)
-    out = Path(args.out) if args.out else cfg.path("report_dir") / "poses.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
+    model = None if args.gt else _trained_model(cfg, args.checkpoint)
+    dataset = _dataset(cfg, args.split, args.sequence)
+    out = _out_path(cfg, args.out, "poses.csv")
     rows = export_poses(model, dataset, out, use_gt=args.gt)
     print(f"wrote {rows} joint rows to {out}")
     return 0

@@ -32,25 +32,34 @@ def baseline_pose(box_center: np.ndarray, spec: SkeletonSpec | None = None) -> n
     return rest - rest[spec.root_index] + np.asarray(box_center)
 
 
-def _model_poses(model: FusionPoseModel, dataset: InstanceDataset,
-                 point_budget: int | None = None, occlusion: float = 0.0,
+def _predictions(model: FusionPoseModel | None, dataset: InstanceDataset,
+                 mode: str, point_budget: int | None = None, occlusion: float = 0.0,
                  seed: int = 0) -> Iterator[tuple[InstanceSample, list[np.ndarray]]]:
-    """Each window with its predicted final poses, in dataset order.
+    """Each window with its poses under ``mode``, in dataset order.
 
-    Windows share FrameSample objects, and ``model_frames`` gives the
-    same input for the same FrameSample within one call (the resampling
-    is seeded per frame and person), so each frame is encoded once and
-    its feature reused by every later window holding it. The features
-    live only for this call: the weights may change between passes.
+    In "model" mode, windows share FrameSample objects, and
+    ``model_frames`` gives the same input for the same FrameSample
+    within one call (the resampling is seeded per frame and person), so
+    each frame is encoded once and its feature reused by every later
+    window holding it. The features live only for this call: the
+    weights may change between passes.
     """
+    if mode not in ("model", "baseline", "oracle"):
+        raise ValueError(f"unknown eval mode {mode!r}")
+    spec = default_skeleton()
     encoded: dict[int, Tensor] = {}
     for sample in dataset.samples:
-        frames = dataset.model_frames(sample, point_budget, occlusion, seed)
-        for fs, frame in zip(sample.frames, frames):
-            if id(fs) not in encoded:
-                encoded[id(fs)] = model.encode(frame)
-        outs = model.forward(frames, [encoded[id(fs)] for fs in sample.frames])
-        yield sample, [o.final_pose.data for o in outs]
+        if mode == "oracle":
+            yield sample, [fs.gt_pose3d for fs in sample.frames]
+        elif mode == "baseline":
+            yield sample, [baseline_pose(fs.box_center, spec) for fs in sample.frames]
+        else:
+            frames = dataset.model_frames(sample, point_budget, occlusion, seed)
+            for fs, frame in zip(sample.frames, frames):
+                if id(fs) not in encoded:
+                    encoded[id(fs)] = model.encode(frame)
+            outs = model.forward(frames, [encoded[id(fs)] for fs in sample.frames])
+            yield sample, [o.final_pose.data for o in outs]
 
 
 @dataclass
@@ -75,17 +84,8 @@ def evaluate_dataset(model: FusionPoseModel | None, dataset: InstanceDataset,
     spec = default_skeleton()
     acc = MetricAccumulator(spec, bone_samples, squared_cd)
     windows: list[WindowScore] = []
-    if mode == "model":
-        predictions = _model_poses(model, dataset, point_budget, occlusion, seed)
-    elif mode == "baseline":
-        predictions = ((s, [baseline_pose(fs.box_center, spec) for fs in s.frames])
-                       for s in dataset.samples)
-    elif mode == "oracle":
-        predictions = ((s, [fs.gt_pose3d for fs in s.frames])
-                       for s in dataset.samples)
-    else:
-        raise ValueError(f"unknown eval mode {mode!r}")
-    for sample, preds in predictions:
+    for sample, preds in _predictions(model, dataset, mode, point_budget,
+                                      occlusion, seed):
         errs = []
         for fs, pred in zip(sample.frames, preds):
             gt = fs.gt_pose3d
@@ -119,12 +119,8 @@ def export_poses(model: FusionPoseModel | None, dataset: InstanceDataset,
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sequence", "track_id", "frame", "joint", "x", "y", "z"])
-        if use_gt:
-            predictions = ((s, [fs.gt_pose3d for fs in s.frames])
-                           for s in dataset.samples)
-        else:
-            predictions = _model_poses(model, dataset)
-        for sample, preds in predictions:
+        for sample, preds in _predictions(model, dataset,
+                                          "oracle" if use_gt else "model"):
             for fs, pose in zip(sample.frames, preds):
                 for j, (x, y, z) in enumerate(pose):
                     writer.writerow([sample.sequence_name, sample.track_id,

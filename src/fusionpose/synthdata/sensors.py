@@ -112,6 +112,21 @@ def intersect_rays_capsules(origin: np.ndarray, dirs: np.ndarray,
     return best_t, best_idx
 
 
+def _cast_rays(origin: np.ndarray, dirs: np.ndarray,
+               posed: list[tuple[Pose3D, BodyModel]], spec: SkeletonSpec | None):
+    """First hits of ``dirs`` against every body's capsules.
+
+    Returns (t, index, owner) as ``intersect_rays_capsules`` does, plus
+    the person each capsule belongs to.
+    """
+    capsules = [capsules_for(pose, body, spec) for pose, body in posed]
+    owner = np.concatenate([np.full(len(r), pid)
+                            for pid, (_, _, r) in enumerate(capsules)])
+    seg_a, seg_b, radii = (np.concatenate(part) for part in zip(*capsules))
+    t, idx = intersect_rays_capsules(origin, dirs, seg_a, seg_b, radii)
+    return t, idx, owner
+
+
 def simulate_lidar(posed: list[tuple[Pose3D, BodyModel]], cfg: LidarConfig,
                    seed: int, spec: SkeletonSpec | None = None):
     """Ray-cast one LiDAR frame over all bodies.
@@ -120,22 +135,11 @@ def simulate_lidar(posed: list[tuple[Pose3D, BodyModel]], cfg: LidarConfig,
     each return came from. Ranges get Gaussian noise and points drop out
     i.i.d. per the config.
     """
-    caps_a, caps_b, caps_r, owner = [], [], [], []
-    for pid, (pose, body) in enumerate(posed):
-        a, b, r = capsules_for(pose, body, spec)
-        caps_a.append(a)
-        caps_b.append(b)
-        caps_r.append(r)
-        owner.append(np.full(len(r), pid))
+    if not posed:
+        return np.zeros((0, 3)), np.zeros(0, dtype=np.int64)
     origin = np.asarray(cfg.origin, dtype=np.float64)
     dirs = cfg.ray_directions()
-    if not caps_a:
-        return np.zeros((0, 3)), np.zeros(0, dtype=np.int64)
-    t, idx = intersect_rays_capsules(origin, dirs,
-                                     np.concatenate(caps_a),
-                                     np.concatenate(caps_b),
-                                     np.concatenate(caps_r))
-    owner = np.concatenate(owner)
+    t, idx, owner = _cast_rays(origin, dirs, posed, spec)
     hit = np.isfinite(t) & (t <= cfg.max_range_m)
     t, dirs, idx = t[hit], dirs[hit], idx[hit]
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -153,18 +157,8 @@ def render_raster(posed: list[tuple[Pose3D, BodyModel]], calib: Calibration,
     Channels: inverse camera depth (0 where empty), silhouette mask, and
     a per-person hue (pid + 1) / (n_persons + 1).
     """
-    raster = np.zeros((height, width, 3), dtype=np.float32)
     if not posed:
-        return raster
-    caps_a, caps_b, caps_r, owner = [], [], [], []
-    for pid, (pose, body) in enumerate(posed):
-        a, b, r = capsules_for(pose, body, spec)
-        caps_a.append(a)
-        caps_b.append(b)
-        caps_r.append(r)
-        owner.append(np.full(len(r), pid))
-    owner = np.concatenate(owner)
-
+        return np.zeros((height, width, 3), dtype=np.float32)
     us, vs = np.meshgrid(np.arange(width, dtype=np.float64),
                          np.arange(height, dtype=np.float64))
     cam_dirs = np.stack([(us.ravel() - calib.cx) / calib.fx,
@@ -174,10 +168,7 @@ def render_raster(posed: list[tuple[Pose3D, BodyModel]], calib: Calibration,
     norms = np.linalg.norm(world_dirs, axis=1, keepdims=True)
     world_dirs = world_dirs / norms
     origin = calib.camera_center_world()
-    t, idx = intersect_rays_capsules(origin, world_dirs,
-                                     np.concatenate(caps_a),
-                                     np.concatenate(caps_b),
-                                     np.concatenate(caps_r))
+    t, idx, owner = _cast_rays(origin, world_dirs, posed, spec)
     hit = np.isfinite(t)
     pts = origin + t[hit, None] * world_dirs[hit]
     z = (pts @ calib.rotation.T + calib.translation)[:, 2]

@@ -204,11 +204,18 @@ def read_manifest(dataset_dir: str | Path) -> dict[str, list[str]]:
     path = Path(dataset_dir) / "manifest.txt"
     if not path.exists():
         raise InvalidInputError(f"no manifest at {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: not UTF-8 text") from exc
     out: dict[str, list[str]] = {}
-    for raw in path.read_text().splitlines():
-        line = raw.strip()
-        if not line:
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        fields = raw.split(None, 1)
+        if not fields:
             continue
-        split, name = line.split(None, 1)
-        out.setdefault(split, []).append(name)
+        if len(fields) != 2:
+            raise InvalidInputError(f"{path}:{lineno}: expected '<split> <sequence>', "
+                                    f"got {raw.strip()!r}")
+        split, name = fields
+        out.setdefault(split, []).append(name.strip())
     return out

@@ -10,6 +10,7 @@ run because batch order is derived from (seed, epoch).
 from __future__ import annotations
 
 import csv
+import functools
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,6 +51,11 @@ class TrainState:
     seed: int = 0
 
 
+def _sum(terms: list[ad.Tensor]) -> ad.Tensor:
+    """Left-to-right sum of per-frame loss terms."""
+    return functools.reduce(ad.add, terms)
+
+
 def sequence_loss(model: FusionPoseModel, frames, sample: InstanceSample,
                   weights: LossWeights, bone_samples: int):
     """Total weighted loss of one instance window plus component values."""
@@ -57,33 +63,21 @@ def sequence_loss(model: FusionPoseModel, frames, sample: InstanceSample,
     spec = default_skeleton()
     components: dict[str, ad.Tensor] = {}
 
-    terms = [motion_loss(outs[t].motion, sample.frames[t].kp,
-                         sample.frames[t - 1].kp)
-             for t in range(1, len(outs))]
-    acc = terms[0]
-    for term in terms[1:]:
-        acc = ad.add(acc, term)
-    components["motion"] = acc
+    components["motion"] = _sum([motion_loss(outs[t].motion, sample.frames[t].kp,
+                                             sample.frames[t - 1].kp)
+                                 for t in range(1, len(outs))])
 
     consistency = consistency_loss([o.features for o in outs])
     components["consistency"] = ad.scale(consistency, float(len(outs)))
 
-    proj = [projection_loss(outs[t].final_pose, sample.frames[t].kp,
-                            sample.frames[t].calib)
-            for t in range(len(outs))]
-    acc = proj[0]
-    for term in proj[1:]:
-        acc = ad.add(acc, term)
-    components["proj"] = acc
+    components["proj"] = _sum([projection_loss(outs[t].final_pose, sample.frames[t].kp,
+                                               sample.frames[t].calib)
+                               for t in range(len(outs))])
 
-    cd = [chamfer_agu_loss(outs[t].final_pose,
-                           frames[t].points + frames[t].box_center,
-                           spec, bone_samples)
-          for t in range(len(outs))]
-    acc = cd[0]
-    for term in cd[1:]:
-        acc = ad.add(acc, term)
-    components["cd_agu"] = acc
+    components["cd_agu"] = _sum([chamfer_agu_loss(outs[t].final_pose,
+                                                  frames[t].points + frames[t].box_center,
+                                                  spec, bone_samples)
+                                 for t in range(len(outs))])
 
     total = total_loss(components, weights)
     values = {name: float(components[name].data) for name in LOSS_NAMES}
@@ -160,6 +154,18 @@ def latest_checkpoint(checkpoint_dir: str | Path) -> Path | None:
     return files[-1] if files else None
 
 
+def _newest_readable_checkpoint(checkpoint_dir: Path) -> Path | None:
+    """The newest checkpoint that parses; unreadable ones are skipped."""
+    for path in sorted(checkpoint_dir.glob("epoch_*.fpck"), reverse=True):
+        try:
+            ParameterStore.read_entries(path)
+        except (CheckpointMismatchError, OSError) as exc:
+            log.warning("skipping unreadable checkpoint: %s", exc)
+            continue
+        return path
+    return None
+
+
 # -- the trainer ---------------------------------------------------------------
 
 
@@ -181,11 +187,18 @@ class Trainer:
         self.state = TrainState(seed=run_cfg.seed)
         self.log_rows: list[dict] = []
 
-    def _check_finite(self, means: dict[str, float]) -> None:
+    def _step(self, batch: list[InstanceSample], weights: LossWeights,
+              freeze_prefixes: tuple[str, ...] = ()) -> dict[str, float]:
+        """One optimizer step on ``batch``; returns its mean loss terms."""
+        grads, means = batch_gradients(self.model, self.store, self.dataset,
+                                       batch, weights, self.cfg.bone_samples)
         if not np.isfinite(means["total"]):
             raise TrainingAborted(
                 f"non-finite loss at step {self.state.step}; "
                 "last checkpoint kept")
+        self.optimizer.step(grads, freeze_prefixes)
+        self.state.step += 1
+        return means
 
     def _epoch_order(self, epoch: int) -> list[InstanceSample]:
         rng = np.random.Generator(np.random.PCG64(
@@ -198,19 +211,10 @@ class Trainer:
         weights = weights or self.weights
         samples = self._epoch_order(epoch)
         bs = self.cfg.batch_size
-        accum = {name: 0.0 for name in (*LOSS_NAMES, "total")}
-        n_batches = 0
-        for i in range(0, len(samples), bs):
-            batch = samples[i : i + bs]
-            grads, means = batch_gradients(self.model, self.store, self.dataset,
-                                           batch, weights, self.cfg.bone_samples)
-            self._check_finite(means)
-            self.optimizer.step(grads, freeze_prefixes)
-            self.state.step += 1
-            for name, v in means.items():
-                accum[name] += v
-            n_batches += 1
-        return {name: v / n_batches for name, v in accum.items()}
+        batch_means = [self._step(samples[i : i + bs], weights, freeze_prefixes)
+                       for i in range(0, len(samples), bs)]
+        return {name: sum(means[name] for means in batch_means) / len(batch_means)
+                for name in batch_means[0]}
 
     def train(self, checkpoint_dir: str | Path | None = None,
               epochs: int | None = None, resume: bool = True,
@@ -221,9 +225,13 @@ class Trainer:
         start_epoch = 0
         if ckpt_dir:
             ckpt_dir.mkdir(parents=True, exist_ok=True)
-            last = latest_checkpoint(ckpt_dir) if resume else None
+            last = _newest_readable_checkpoint(ckpt_dir) if resume else None
             if last is not None:
                 self.state = load_checkpoint(self.store, last, self.model.cfg)
+                if self.state.seed != self.cfg.seed:
+                    raise CheckpointMismatchError(
+                        f"{last}: checkpoint seed {self.state.seed} does not "
+                        f"match configured seed {self.cfg.seed}")
                 self.optimizer = Adam(self.store, self.cfg.step_size,
                                       self.cfg.beta1, self.cfg.beta2)
                 start_epoch = self.state.epoch
@@ -257,13 +265,7 @@ class Trainer:
         rows = []
         with GT_GUARD.forbid():
             for step in range(steps):
-                grads, means = batch_gradients(self.model, self.store,
-                                               self.dataset, batch, self.weights,
-                                               self.cfg.bone_samples)
-                self._check_finite(means)
-                self.optimizer.step(grads)
-                self.state.step += 1
-                row = {"epoch": 0, "step": step, **means}
+                row = {"epoch": 0, "step": step, **self._step(batch, self.weights)}
                 rows.append(row)
                 if progress and (step % 50 == 0 or step == steps - 1):
                     progress(row)

@@ -211,6 +211,78 @@ def test_resume_reproduces_uninterrupted_trajectory(workdir, tmp_path):
     assert rows_a[3:] == rows_b[1:]
 
 
+def _run_cfg(workdir, tree: Path, epochs: int) -> Path:
+    """A tiny run config in ``tree`` that reads the shared dataset."""
+    tree.mkdir(parents=True, exist_ok=True)
+    cfgfile = tree / "run.cfg"
+    cfgfile.write_text(TINY_CFG
+                       .replace("paths.dataset_dir = data",
+                                f"paths.dataset_dir = {workdir / 'data'}")
+                       .replace("optim.epochs = 2", f"optim.epochs = {epochs}"))
+    return cfgfile
+
+
+def test_resume_skips_unreadable_newest_checkpoint(workdir, tmp_path, caplog):
+    cfgfile = _run_cfg(workdir, tmp_path, 2)
+    assert main(["train", "--config", str(cfgfile)]) == 0
+    rows = (tmp_path / "reports" / "loss_log.csv").read_text().splitlines()
+    newest = tmp_path / "ckpt" / "epoch_001.fpck"
+    blob = newest.read_bytes()
+    newest.write_bytes(blob[: len(blob) // 2])
+
+    assert main(["train", "--config", str(cfgfile)]) == 0
+    assert f"skipping unreadable checkpoint: {newest}" in caplog.text
+    resumed = (tmp_path / "reports" / "loss_log.csv").read_text().splitlines()
+    # resumed from epoch_000: epoch 1 is trained again, to the same bytes
+    assert resumed == [rows[0], rows[2]]
+    assert newest.read_bytes() == blob
+
+
+def test_resume_with_changed_model_still_exits_3(workdir, tmp_path, capsys):
+    cfgfile = _run_cfg(workdir, tmp_path, 1)
+    assert main(["train", "--config", str(cfgfile)]) == 0
+    cfgfile.write_text(cfgfile.read_text()
+                       .replace("model.width = 32", "model.width = 64")
+                       .replace("optim.epochs = 1", "optim.epochs = 2"))
+    assert main(["train", "--config", str(cfgfile)]) == 3
+    assert "epoch_000.fpck" in capsys.readouterr().err
+
+
+def test_resume_with_another_seed_exits_3(workdir, tmp_path, capsys, monkeypatch):
+    cfgfile = _run_cfg(workdir, tmp_path, 1)
+    assert main(["train", "--config", str(cfgfile)]) == 0
+    blob = (tmp_path / "ckpt" / "epoch_000.fpck").read_bytes()
+    cfgfile.write_text(cfgfile.read_text().replace("optim.epochs = 1",
+                                                   "optim.epochs = 2"))
+    monkeypatch.setenv("FUSIONPOSE_SEED", "99")
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfgfile)]) == 3
+    err = capsys.readouterr().err
+    assert "seed 3" in err and "seed 99" in err
+    assert sorted(p.name for p in (tmp_path / "ckpt").iterdir()) == ["epoch_000.fpck"]
+    assert (tmp_path / "ckpt" / "epoch_000.fpck").read_bytes() == blob
+
+
+@pytest.mark.parametrize("manifest, where", [
+    (b"train\n", "manifest.txt:1:"),
+    (b"val val_000.fpseq\ntrain\n", "manifest.txt:2:"),
+    (b"\xff\xfetrain train_000.fpseq\n", "manifest.txt: not UTF-8"),
+])
+def test_malformed_manifest_exits_2(workdir, tmp_path, capsys, manifest, where):
+    data = tmp_path / "data"
+    data.mkdir()
+    for seq in (workdir / "data").glob("*.fpseq"):
+        (data / seq.name).write_bytes(seq.read_bytes())
+    (data / "manifest.txt").write_bytes(manifest)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(TINY_CFG.replace("paths.dataset_dir = data",
+                                        f"paths.dataset_dir = {data}"))
+    assert main(["eval", "--config", str(cfgfile), "--oracle"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fusionpose: error:")
+    assert f"{data}/{where}" in err
+
+
 def test_warm_start_freezes_image_and_fusion_branches(workdir):
     cfg = load_config(cfg_path(workdir))
     cfg.warm_start_epochs = 1
