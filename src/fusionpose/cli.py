@@ -8,8 +8,15 @@ input/config or 3 for checkpoint/config mismatches.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
+
+# OpenBLAS reads its thread count once, when numpy is first imported. One
+# thread is faster for these small float64 GEMMs, far faster under
+# contention, and keeps results independent of the host's default.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .ablate import STUDIES, run_study, write_study_csv
 from .config import RunConfig, load_config
@@ -77,7 +84,7 @@ def cmd_train(args) -> int:
     else:
         trainer.train(checkpoint_dir=ckpt_dir, resume=not args.no_resume,
                       progress=progress)
-    write_loss_log(trainer.log_rows, log_path)
+    write_loss_log(trainer.log_rows, log_path, resumed_at=trainer.start_epoch)
     print(f"loss log: {log_path}")
     if cfg.overfit_steps == 0:
         print(f"checkpoints: {ckpt_dir}")

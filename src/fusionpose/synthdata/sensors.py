@@ -20,6 +20,8 @@ from ..geometry import Calibration, Pose2D, Pose3D, SkeletonSpec, project
 from .body import BodyModel, capsules_for
 
 _T_MIN = 1e-9
+# Slack on every bounding sphere, far above the rounding of the hit tests.
+_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,29 @@ class LidarConfig:
                          np.sin(ee)], axis=-1).reshape(-1, 3)
 
 
+def _near_sphere(origin: np.ndarray, dirs: np.ndarray, centre: np.ndarray,
+                 radius: float) -> np.ndarray:
+    """Rows of ``dirs`` whose ray can reach the sphere (centre, radius).
+
+    A ray is kept when its line passes within ``radius`` of the centre
+    and the sphere is not wholly behind the origin. A single row is
+    returned twice: numpy evaluates a one-row ``@`` with a dot product
+    instead of BLAS gemv, and the two can differ in the last bit.
+    """
+    w = centre - origin
+    proj = dirs @ w
+    rows = np.flatnonzero((proj >= -radius) & (w @ w - proj * proj <= radius * radius))
+    return np.repeat(rows, 2) if rows.size == 1 else rows
+
+
+def _keep_closer(best_t: np.ndarray, best_idx: np.ndarray, rows: np.ndarray,
+                 t: np.ndarray, idx: np.ndarray | int) -> None:
+    """Take hits strictly nearer than the best so far; ties keep the earlier index."""
+    closer = t < best_t[rows]
+    best_t[rows] = np.where(closer, t, best_t[rows])
+    best_idx[rows] = np.where(closer, idx, best_idx[rows])
+
+
 def intersect_rays_capsules(origin: np.ndarray, dirs: np.ndarray,
                             seg_a: np.ndarray, seg_b: np.ndarray,
                             radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -67,7 +92,8 @@ def intersect_rays_capsules(origin: np.ndarray, dirs: np.ndarray,
     Returns (t, index): ray parameter of the nearest hit (inf for a
     miss) and the capsule index that was hit (-1 for a miss). The test
     covers the cylindrical band and both sphere caps; taking the minimum
-    over the three candidate sets yields the true entry point.
+    over the three candidate sets yields the true entry point. Only rays
+    that can reach a capsule's bounding sphere are tested against it.
     """
     origin = np.asarray(origin, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
@@ -78,17 +104,21 @@ def intersect_rays_capsules(origin: np.ndarray, dirs: np.ndarray,
         a, b, r = seg_a[ci], seg_b[ci], radii[ci]
         axis = b - a
         length = np.linalg.norm(axis)
-        t_cand = np.full(n_rays, np.inf)
+        rows = _near_sphere(origin, dirs, (a + b) / 2.0, length / 2.0 + r + _MARGIN)
+        if rows.size == 0:
+            continue
+        d = dirs[rows]
+        t_cand = np.full(rows.size, np.inf)
         if length > 1e-12:
             u = axis / length
             m = origin - a
-            d_par = dirs @ u
             m_par = m @ u
-            d_perp = dirs - d_par[:, None] * u
             m_perp = m - m_par * u
+            qc = m_perp @ m_perp - r * r
+            d_par = d @ u
+            d_perp = d - d_par[:, None] * u
             qa = (d_perp * d_perp).sum(axis=1)
             qb = 2.0 * d_perp @ m_perp
-            qc = m_perp @ m_perp - r * r
             disc = qb * qb - 4.0 * qa * qc
             ok = (disc >= 0.0) & (qa > 1e-14)
             sq = np.sqrt(np.where(ok, disc, 0.0))
@@ -98,7 +128,7 @@ def intersect_rays_capsules(origin: np.ndarray, dirs: np.ndarray,
             t_cand = np.where(valid, t_cyl, np.inf)
         for cap in (a, b):
             m = origin - cap
-            qb = 2.0 * dirs @ m
+            qb = 2.0 * d @ m
             qc = m @ m - r * r
             disc = qb * qb - 4.0 * qc
             ok = disc >= 0.0
@@ -106,9 +136,7 @@ def intersect_rays_capsules(origin: np.ndarray, dirs: np.ndarray,
             t_sph = np.where(ok, (-qb - sq) / 2.0, np.inf)
             t_sph = np.where(t_sph > _T_MIN, t_sph, np.inf)
             t_cand = np.minimum(t_cand, t_sph)
-        closer = t_cand < best_t
-        best_t = np.where(closer, t_cand, best_t)
-        best_idx = np.where(closer, ci, best_idx)
+        _keep_closer(best_t, best_idx, rows, t_cand, ci)
     return best_t, best_idx
 
 
@@ -117,13 +145,24 @@ def _cast_rays(origin: np.ndarray, dirs: np.ndarray,
     """First hits of ``dirs`` against every body's capsules.
 
     Returns (t, index, owner) as ``intersect_rays_capsules`` does, plus
-    the person each capsule belongs to.
+    the person each capsule belongs to. Each person's capsules see only
+    the rays that can reach the sphere bounding all of them.
     """
     capsules = [capsules_for(pose, body, spec) for pose, body in posed]
     owner = np.concatenate([np.full(len(r), pid)
                             for pid, (_, _, r) in enumerate(capsules)])
-    seg_a, seg_b, radii = (np.concatenate(part) for part in zip(*capsules))
-    t, idx = intersect_rays_capsules(origin, dirs, seg_a, seg_b, radii)
+    t = np.full(dirs.shape[0], np.inf)
+    idx = np.full(dirs.shape[0], -1, dtype=np.int64)
+    first = 0
+    for seg_a, seg_b, radii in capsules:
+        ends = np.concatenate([seg_a, seg_b])
+        centre = ends.mean(axis=0)
+        radius = np.linalg.norm(ends - centre, axis=1).max() + radii.max() + _MARGIN
+        rows = _near_sphere(origin, dirs, centre, radius)
+        if rows.size:
+            t_p, idx_p = intersect_rays_capsules(origin, dirs[rows], seg_a, seg_b, radii)
+            _keep_closer(t, idx, rows, t_p, idx_p + first)
+        first += len(radii)
     return t, idx, owner
 
 

@@ -35,7 +35,7 @@ LOSS_NAMES = ("motion", "consistency", "proj", "cd_agu")
 
 
 class TrainingAborted(RuntimeError):
-    """Raised when the loss goes non-finite; the last checkpoint is kept."""
+    """Raised when the loss or a gradient goes non-finite; the last checkpoint is kept."""
 
 
 @dataclass
@@ -185,6 +185,7 @@ class Trainer:
         if not self.train_samples:
             raise InvalidInputError("no training windows after stride filtering")
         self.state = TrainState(seed=run_cfg.seed)
+        self.start_epoch = 0  # first epoch of the last ``train`` call
         self.log_rows: list[dict] = []
 
     def _step(self, batch: list[InstanceSample], weights: LossWeights,
@@ -195,6 +196,12 @@ class Trainer:
         if not np.isfinite(means["total"]):
             raise TrainingAborted(
                 f"non-finite loss at step {self.state.step}; "
+                "last checkpoint kept")
+        bad = next((path for path in self.store.paths()
+                    if not np.isfinite(grads[path]).all()), None)
+        if bad is not None:
+            raise TrainingAborted(
+                f"non-finite gradient of {bad} at step {self.state.step}; "
                 "last checkpoint kept")
         self.optimizer.step(grads, freeze_prefixes)
         self.state.step += 1
@@ -236,6 +243,7 @@ class Trainer:
                                       self.cfg.beta1, self.cfg.beta2)
                 start_epoch = self.state.epoch
                 log.info("resumed from %s at epoch %d", last, start_epoch)
+        self.start_epoch = start_epoch
 
         with GT_GUARD.forbid():
             warm = self.cfg.warm_start_epochs
@@ -273,11 +281,18 @@ class Trainer:
         return rows
 
 
-def write_loss_log(rows: list[dict], path: str | Path) -> None:
+def write_loss_log(rows: list[dict], path: str | Path, resumed_at: int = 0) -> None:
+    """Write the loss rows; the existing log's rows of epochs before ``resumed_at`` stay."""
     columns = ["epoch", "step", *LOSS_NAMES, "total"]
+    kept = []
+    if resumed_at > 0 and Path(path).exists():
+        with open(path, newline="", errors="replace") as fh:
+            kept = [row for row in list(csv.reader(fh))[1:]
+                    if row and row[0].isdigit() and int(row[0]) < resumed_at]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
+        writer.writerows(kept)
         for row in rows:
             writer.writerow([row["epoch"], row["step"],
                              *(repr(row[name]) for name in (*LOSS_NAMES, "total"))])

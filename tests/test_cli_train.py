@@ -1,18 +1,25 @@
 import csv
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fusionpose
+from fusionpose import train
 from fusionpose.cli import main
 from fusionpose.config import load_config
 from fusionpose.dataio import InstanceDataset, load_split
 from fusionpose.evaluate import export_poses, read_exported_poses
 from fusionpose.geometry import default_skeleton
 from fusionpose.metrics import pck
-from fusionpose.model import FusionPoseModel
+from fusionpose.model import FusionPoseModel, build_model
 from fusionpose.params import ParameterStore
-from fusionpose.train import Trainer, TrainState, latest_checkpoint, save_checkpoint
+from fusionpose.train import (LOSS_NAMES, Trainer, TrainingAborted, TrainState,
+                              latest_checkpoint, save_checkpoint)
 
 TINY_CFG = """
 seed = 3
@@ -204,11 +211,8 @@ def test_resume_reproduces_uninterrupted_trajectory(workdir, tmp_path):
     assert main(["train", "--config", str(resumed4)]) == 0
     log_b = (tmp_path / "resumed" / "reports" / "loss_log.csv").read_text()
 
-    # the resumed run logs epochs 2..3; they must match the straight run rows
-    rows_a = log_a.strip().splitlines()
-    rows_b = log_b.strip().splitlines()
-    assert rows_a[0] == rows_b[0]
-    assert rows_a[3:] == rows_b[1:]
+    # epochs 0..1 are kept from the first run, 2..3 match the straight run
+    assert log_a == log_b
 
 
 def _run_cfg(workdir, tree: Path, epochs: int) -> Path:
@@ -234,8 +238,21 @@ def test_resume_skips_unreadable_newest_checkpoint(workdir, tmp_path, caplog):
     assert f"skipping unreadable checkpoint: {newest}" in caplog.text
     resumed = (tmp_path / "reports" / "loss_log.csv").read_text().splitlines()
     # resumed from epoch_000: epoch 1 is trained again, to the same bytes
-    assert resumed == [rows[0], rows[2]]
+    assert resumed == rows
     assert newest.read_bytes() == blob
+
+
+def test_resumed_loss_log_matches_uninterrupted_run(workdir, tmp_path):
+    cfgfile = _run_cfg(workdir, tmp_path, 2)
+    assert main(["train", "--config", str(cfgfile)]) == 0
+    log = tmp_path / "reports" / "loss_log.csv"
+    straight = log.read_bytes()
+    (tmp_path / "ckpt" / "epoch_001.fpck").unlink()
+    assert main(["train", "--config", str(cfgfile)]) == 0
+    assert log.read_bytes() == straight
+    # a run restarted from scratch starts a new log
+    assert main(["train", "--config", str(cfgfile), "--no-resume"]) == 0
+    assert log.read_bytes() == straight
 
 
 def test_resume_with_changed_model_still_exits_3(workdir, tmp_path, capsys):
@@ -337,6 +354,59 @@ def test_nan_loss_aborts_and_keeps_checkpoint(workdir, tmp_path):
     rc = main(["train", "--config", str(cfgfile)])
     assert rc == 2
     assert good[-1].read_bytes() == blob  # last good checkpoint untouched
+
+
+def test_non_finite_gradient_aborts_before_the_optimizer_step(workdir, monkeypatch):
+    cfg = load_config(cfg_path(workdir))
+    data = InstanceDataset(load_split(cfg.path("dataset_dir"), "train"),
+                           cfg.model_config())
+    model, store = build_model(cfg.model_config(), cfg.seed)
+    trainer = Trainer(cfg, data, model, store)
+    poisoned = store.paths()[len(store.paths()) // 2]
+
+    def nan_gradients(model, store, dataset, batch, weights, bone_samples):
+        grads = {path: np.zeros_like(t.data) for path, t in store.items()}
+        grads[poisoned].flat[-1] = np.nan
+        return grads, {name: 1.0 for name in (*LOSS_NAMES, "total")}
+
+    monkeypatch.setattr(train, "batch_gradients", nan_gradients)
+    params = {p: t.data.copy() for p, t in store.items()}
+    moments = {k: v.copy() for k, v in store.state.items()}
+    with pytest.raises(TrainingAborted, match=f"gradient of {poisoned} at step 0"):
+        trainer.train(checkpoint_dir=None, epochs=1)
+    for p, t in store.items():
+        np.testing.assert_array_equal(t.data, params[p])
+    assert store.state.keys() == moments.keys()
+    for k, v in store.state.items():
+        np.testing.assert_array_equal(v, moments[k])
+    assert trainer.state.step == 0
+
+
+def test_cli_pins_blas_threads_before_numpy_loads():
+    probe = textwrap.dedent("""
+        import os, sys
+        seen = []
+        class Spy:
+            def find_spec(self, name, path=None, target=None):
+                if name == "numpy" and not seen:
+                    seen.append([os.environ.get(v) for v in
+                                 ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")])
+        sys.meta_path.insert(0, Spy())
+        import fusionpose.cli
+        print(*seen[0])
+    """)
+    src = str(Path(fusionpose.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = src
+
+    def numpy_sees(**extra):
+        out = subprocess.run([sys.executable, "-c", probe], env={**env, **extra},
+                             capture_output=True, text=True, check=True)
+        return out.stdout.split()
+
+    assert numpy_sees() == ["1", "1"]
+    assert numpy_sees(OPENBLAS_NUM_THREADS="3") == ["3", "1"]
 
 
 def test_checkpoint_model_mismatch_exits_3(workdir, tmp_path):

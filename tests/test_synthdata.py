@@ -12,7 +12,8 @@ from fusionpose.synthdata.body import capsules_for
 from fusionpose.synthdata.generate import (SceneConfig, default_calibration,
                                            default_scene, generate_dataset,
                                            simulate_frames)
-from fusionpose.synthdata.sensors import intersect_rays_capsules
+from fusionpose.geometry import Pose3D
+from fusionpose.synthdata.sensors import _cast_rays, intersect_rays_capsules
 
 SPEC = default_skeleton()
 
@@ -105,6 +106,171 @@ def test_miss_returns_infinite_range():
     t, idx = intersect_rays_capsules(np.zeros(3), np.array([[1.0, 0, 0]]), a, b,
                                      np.array([0.2]))
     assert np.isinf(t[0]) and idx[0] == -1
+
+
+def all_pairs_reference(origin, dirs, seg_a, seg_b, radii):
+    """Every ray against every capsule: the loop the culled version must match bit for bit."""
+    n_rays = dirs.shape[0]
+    best_t = np.full(n_rays, np.inf)
+    best_idx = np.full(n_rays, -1, dtype=np.int64)
+    for ci in range(seg_a.shape[0]):
+        a, b, r = seg_a[ci], seg_b[ci], radii[ci]
+        axis = b - a
+        length = np.linalg.norm(axis)
+        t_cand = np.full(n_rays, np.inf)
+        if length > 1e-12:
+            u = axis / length
+            m = origin - a
+            d_par = dirs @ u
+            m_par = m @ u
+            d_perp = dirs - d_par[:, None] * u
+            m_perp = m - m_par * u
+            qa = (d_perp * d_perp).sum(axis=1)
+            qb = 2.0 * d_perp @ m_perp
+            qc = m_perp @ m_perp - r * r
+            disc = qb * qb - 4.0 * qa * qc
+            ok = (disc >= 0.0) & (qa > 1e-14)
+            sq = np.sqrt(np.where(ok, disc, 0.0))
+            t_cyl = np.where(ok, (-qb - sq) / (2.0 * np.where(ok, qa, 1.0)), np.inf)
+            s = m_par + np.where(ok, t_cyl, 0.0) * d_par
+            valid = ok & (t_cyl > 1e-9) & (s >= 0.0) & (s <= length)
+            t_cand = np.where(valid, t_cyl, np.inf)
+        for cap in (a, b):
+            m = origin - cap
+            qb = 2.0 * dirs @ m
+            qc = m @ m - r * r
+            disc = qb * qb - 4.0 * qc
+            ok = disc >= 0.0
+            sq = np.sqrt(np.where(ok, disc, 0.0))
+            t_sph = np.where(ok, (-qb - sq) / 2.0, np.inf)
+            t_sph = np.where(t_sph > 1e-9, t_sph, np.inf)
+            t_cand = np.minimum(t_cand, t_sph)
+        closer = t_cand < best_t
+        best_t = np.where(closer, t_cand, best_t)
+        best_idx = np.where(closer, ci, best_idx)
+    return best_t, best_idx
+
+
+def _unit(v):
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def _tangent_dir(rng, origin, centre, dist):
+    """A unit ray direction from ``origin`` whose line passes ``dist`` from ``centre``."""
+    w = centre - origin
+    w_hat = _unit(w)
+    v = _unit(np.cross(w_hat, rng.normal(size=3)))
+    sin = dist / np.linalg.norm(w)
+    return _unit(np.sqrt(1.0 - sin * sin) * w_hat + sin * v)
+
+
+def _grazing_dirs(rng, origin, a, b, r):
+    """Rays at r * (1 +- 1e-12) from the capsule axis (cylinder band and caps)."""
+    u = _unit(b - a)
+    out = []
+    for scale in (1.0 - 1e-12, 1.0, 1.0 + 1e-12):
+        rho = r * scale
+        o_perp = (origin - a) - ((origin - a) @ u) * u
+        dist = np.linalg.norm(o_perp)
+        if dist > rho:
+            # tangent to the infinite cylinder at a point inside the band
+            e_hat, f_hat = o_perp / dist, np.cross(u, o_perp / dist)
+            cos = rho / dist
+            tangent = rho * (cos * e_hat + np.sqrt(1.0 - cos * cos) * f_hat)
+            s = rng.uniform(0.1, 0.9) * np.linalg.norm(b - a)
+            out.append(_unit(a + s * u + tangent - origin))
+        for cap in (a, b):
+            if np.linalg.norm(cap - origin) > rho:
+                out.append(_tangent_dir(rng, origin, cap, rho))
+    return out
+
+
+def random_capsule_scene(rng):
+    """Capsules in front of the origin and rays aimed at, past and around them.
+
+    Covers grazing rays, zero and 1e-13 lengths, a duplicated capsule
+    (a tie), sometimes an origin inside a capsule, and small capsules
+    behind the origin that only one aimed ray points at.
+    """
+    origin = rng.normal(0.0, 0.2, 3)
+    n = int(rng.integers(2, 8))
+    seg_a = rng.uniform([2.0, -2.0, -1.0], [6.0, 2.0, 1.0], (n, 3))
+    seg_b = seg_a + rng.normal(0.0, 0.4, (n, 3))
+    radii = rng.uniform(0.03, 0.3, n)
+    seg_b[0] = seg_a[0]
+    seg_b[1] = seg_a[1] + 1e-13 * _unit(rng.normal(size=3))
+    seg_a, seg_b, radii = (np.concatenate([x, x[-1:]]) for x in (seg_a, seg_b, radii))
+    dirs = [_unit(rng.normal(size=(int(rng.integers(0, 40)), 3)))]
+    centres = (seg_a + seg_b) / 2.0
+    dirs.append(_unit(centres + rng.normal(0.0, 0.2, centres.shape) - origin))
+    for a, b, r in zip(seg_a[2:], seg_b[2:], radii[2:]):
+        dirs.append(np.array(_grazing_dirs(rng, origin, a, b, r)))
+    if rng.random() < 0.3:
+        origin = seg_a[2] + 0.5 * radii[2] * _unit(rng.normal(size=3))
+    for k in range(int(rng.integers(1, 3))):
+        # behind the origin, where no other ray points
+        target = origin + [-8.0, 6.0 * k - 3.0, 0.0]
+        seg_a = np.vstack([seg_a, target])
+        seg_b = np.vstack([seg_b, target + [0.0, 0.0, 0.05]])
+        radii = np.append(radii, 0.02)
+        dirs.append(_unit(target + rng.normal(0.0, 0.01, 3) - origin)[None])
+    dirs = np.concatenate([np.reshape(d, (-1, 3)) for d in dirs])
+    return origin, dirs[rng.permutation(len(dirs))], seg_a, seg_b, radii
+
+
+def test_culled_intersection_is_bit_identical_to_all_pairs():
+    rng = np.random.default_rng(2024)
+    hits = 0
+    for _ in range(300):
+        origin, dirs, seg_a, seg_b, radii = random_capsule_scene(rng)
+        t, idx = intersect_rays_capsules(origin, dirs, seg_a, seg_b, radii)
+        t_ref, idx_ref = all_pairs_reference(origin, dirs, seg_a, seg_b, radii)
+        assert t.tobytes() == t_ref.tobytes()
+        np.testing.assert_array_equal(idx, idx_ref)
+        hits += np.isfinite(t).sum()
+    assert hits > 1000
+
+
+def test_one_candidate_ray_matches_all_pairs():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        a = rng.uniform(-3.0, 3.0, (1, 3)) + [8.0, 0.0, 0.0]
+        b = a + rng.normal(0.0, 0.5, (1, 3))
+        radii = rng.uniform(0.05, 0.3, 1)
+        hit = _unit((a + b) / 2.0 + rng.normal(0.0, 0.05, 3))
+        dirs = np.vstack([hit, -hit])  # only the first can reach the capsule
+        got = intersect_rays_capsules(np.zeros(3), dirs, a, b, radii)
+        ref = all_pairs_reference(np.zeros(3), dirs, a, b, radii)
+        assert got[0].tobytes() == ref[0].tobytes()
+        np.testing.assert_array_equal(got[1], ref[1])
+
+
+def test_cast_rays_is_bit_identical_to_all_pairs():
+    rng = np.random.default_rng(7)
+    body = BodyModel()
+    base = rest_pose() + [0.0, 0.0, 0.9]
+    lidar = LidarConfig(azimuth_step_deg=2.0, beams=16).ray_directions()
+    for trial in range(12):
+        posed = [(Pose3D(base + [rng.uniform(3.0, 9.0), rng.uniform(-3.0, 3.0), 0.0]), body)
+                 for _ in range(int(rng.integers(1, 4)))]
+        posed.append(posed[0])  # identical bodies: ties go to the first person
+        posed.append((Pose3D(base + [-6.0, 0.0, 0.0]), body))  # behind the origin
+        origin = np.array([0.0, 0.0, 1.2])
+        if trial % 4 == 3:
+            origin = posed[0][0].joints[0] + [0.0, 0.0, 0.01]  # inside a capsule
+        caps = [capsules_for(pose, b) for pose, b in posed]
+        grazing = [d for a, b, r in zip(*caps[0]) for d in _grazing_dirs(rng, origin, a, b, r)]
+        dirs = np.concatenate([lidar, grazing, _unit(rng.normal(size=(50, 3)))])
+        t, idx, owner = _cast_rays(origin, dirs, posed, None)
+        seg_a, seg_b, radii = (np.concatenate(part) for part in zip(*caps))
+        t_ref, idx_ref = all_pairs_reference(origin, dirs, seg_a, seg_b, radii)
+        owner_ref = np.repeat(np.arange(len(caps)), [len(r) for _, _, r in caps])
+        assert t.tobytes() == t_ref.tobytes()
+        np.testing.assert_array_equal(idx, idx_ref)
+        np.testing.assert_array_equal(owner, owner_ref)
+        assert np.isfinite(t).any()
+        duplicate = np.flatnonzero(owner == len(posed) - 2)
+        assert not np.isin(idx, duplicate).any()  # every tie went to person 0
 
 
 def nearer_vs_farther_counts(x_near, x_far, seed):
