@@ -8,6 +8,7 @@ config file's directory.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -19,6 +20,8 @@ from .synthdata.generate import SceneConfig, default_calibration, default_scene
 from .synthdata.sensors import DetectionJitter, LidarConfig
 
 _ALLOWED_POINTS = (32, 64, 128, 256)
+_MAX_PERSONS = 1000
+_MAX_FRAMES = 1_000_000
 
 
 @dataclass
@@ -83,6 +86,21 @@ class RunConfig:
     base_dir: str = "."
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        # Generation loops over persons and frames: bound both, and the
+        # scene's duration (frames / rate) must be finite and non-zero.
+        if not 1 <= self.scene_persons <= _MAX_PERSONS:
+            raise ConfigError(f"scene.persons must be in [1, {_MAX_PERSONS}]")
+        if not 4 <= self.scene_frames <= _MAX_FRAMES:
+            raise ConfigError(f"scene.frames must be in [4, {_MAX_FRAMES}]")
+        if not (0 < self.frame_rate_hz < math.inf
+                and math.isfinite(self.scene_frames / self.frame_rate_hz)):
+            raise ConfigError("scene.frame_rate_hz must be finite and > 0, "
+                              "with a finite scene duration")
+        for name in ("raster_h", "raster_w"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"scene.{name} must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("optim.batch_size must be >= 1")
         if self.n_points not in _ALLOWED_POINTS:
@@ -250,4 +268,6 @@ def load_config(path: str | Path) -> RunConfig:
             cfg.seed = int(env_seed)
         except ValueError as exc:
             raise ConfigError(f"FUSIONPOSE_SEED={env_seed!r} is not an integer") from exc
+        if cfg.seed < 0:
+            raise ConfigError(f"FUSIONPOSE_SEED={env_seed!r}: seed must be >= 0")
     return cfg

@@ -19,7 +19,9 @@ import numpy as np
 from .autodiff import Tensor
 from .dataio import InstanceDataset, InstanceSample
 from .geometry import SkeletonSpec, default_skeleton
-from .metrics import MetricAccumulator, MetricReport, mpjpe, pck
+# pck and mpjpe stay importable from here: they score single poses.
+from .metrics import (PCK_THRESHOLD_MM, MetricAccumulator, MetricReport,  # noqa: F401
+                      mpjpe, pck)
 from .model import FusionPoseModel
 from .synthdata.body import rest_pose
 
@@ -86,15 +88,15 @@ def evaluate_dataset(model: FusionPoseModel | None, dataset: InstanceDataset,
     windows: list[WindowScore] = []
     for sample, preds in _predictions(model, dataset, mode, point_budget,
                                       occlusion, seed):
-        errs = []
-        for fs, pred in zip(sample.frames, preds):
-            gt = fs.gt_pose3d
-            acc.add(pred, gt, cloud=fs.crop_cloud)
-            errs.append((pred, gt))
+        # Each pose's joint errors are computed once; the window scores
+        # use the expressions of metrics.pck and metrics.mpjpe on them.
+        errs = [acc.add(pred, fs.gt_pose3d, cloud=fs.crop_cloud)
+                for fs, pred in zip(sample.frames, preds)]
         windows.append(WindowScore(
             sample.sequence_name, sample.track_id, sample.start_frame,
-            pck=float(np.mean([pck(p, g, spec.root_index) for p, g in errs])),
-            mpjpe_mm=float(np.mean([mpjpe(p, g, spec.root_index) for p, g in errs])),
+            pck=float(np.mean([100.0 * float((e < PCK_THRESHOLD_MM).mean())
+                               for e in errs])),
+            mpjpe_mm=float(np.mean([float(e.mean()) for e in errs])),
         ))
     return acc.report(split), windows
 

@@ -103,13 +103,16 @@ class MetricAccumulator:
     _errors: list[np.ndarray] = field(default_factory=list)
     _cds: list[float] = field(default_factory=list)
 
-    def add(self, pred, gt, cloud: np.ndarray | None = None) -> None:
+    def add(self, pred, gt, cloud: np.ndarray | None = None) -> np.ndarray:
+        """Accumulate one pose; returns its root-aligned joint errors (mm)."""
         pred = pred.joints if isinstance(pred, Pose3D) else np.asarray(pred)
         gt = gt.joints if isinstance(gt, Pose3D) else np.asarray(gt)
-        self._errors.append(joint_errors_mm(pred, gt, self.spec.root_index))
+        err = joint_errors_mm(pred, gt, self.spec.root_index)
+        self._errors.append(err)
         if cloud is not None and len(cloud):
             self._cds.append(cd_metric(pred, cloud, self.spec,
                                        self.samples_per_bone, self.squared_cd))
+        return err
 
     @property
     def n_samples(self) -> int:

@@ -4,13 +4,20 @@ The whole loop runs inside the ground-truth guard's forbid scope, so any
 code path that touches a GT 3D pose raises immediately. Checkpoints
 carry parameters, optimizer moments, and the train state; resuming from
 epoch k reproduces the exact remaining trajectory of an uninterrupted
-run because batch order is derived from (seed, epoch).
+run because the batches are derived from (seed, epoch).
+
+A batch is a segment of consecutive windows of one tracked person, so
+its windows share frames. Each distinct frame is encoded once per step,
+and its encoder tape is rebuilt in the backward pass one frame at a
+time (frame-level gradient checkpointing), so the memory of a step is
+one frame's encoder tape plus the batch's temporal part and losses.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,9 +64,14 @@ def _sum(terms: list[ad.Tensor]) -> ad.Tensor:
 
 
 def sequence_loss(model: FusionPoseModel, frames, sample: InstanceSample,
-                  weights: LossWeights, bone_samples: int):
-    """Total weighted loss of one instance window plus component values."""
-    outs = model.forward(frames)
+                  weights: LossWeights, bone_samples: int,
+                  encoded: list[ad.Tensor] | None = None):
+    """Total weighted loss of one instance window plus component values.
+
+    ``encoded`` holds the frames' pooled features when the caller has
+    them already (see ``FusionPoseModel.forward``).
+    """
+    outs = model.forward(frames, encoded)
     spec = default_skeleton()
     components: dict[str, ad.Tensor] = {}
 
@@ -88,27 +100,49 @@ def sequence_loss(model: FusionPoseModel, frames, sample: InstanceSample,
 def batch_gradients(model: FusionPoseModel, store: ParameterStore,
                     dataset: InstanceDataset, batch: list[InstanceSample],
                     weights: LossWeights, bone_samples: int):
-    """Mean loss gradients over a batch, one exclusive tape per sequence."""
-    grads: dict[str, np.ndarray] | None = None
-    sums = {name: 0.0 for name in (*LOSS_NAMES, "total")}
-    for sample in batch:
-        frames = dataset.model_frames(sample)
-        with ad.Tape() as tape:
-            total, values = sequence_loss(model, frames, sample, weights,
-                                          bone_samples)
-        g = ad.backward(tape, total, store)
-        tape.release()
-        if grads is None:
-            grads = g
-        else:
-            for path in grads:
-                grads[path] = grads[path] + g[path]
-        for name, v in values.items():
-            sums[name] += v
+    """Mean loss gradients over a batch, each distinct frame encoded once.
+
+    1. Every distinct FrameSample of the batch is encoded with no tape;
+       its pooled feature becomes a leaf tensor.
+    2. One tape records the temporal part and the losses of every window
+       on those leaves; its backward gives the temporal, head and loss
+       gradients plus the gradient of each leaf.
+    3. Each frame's encoder runs again on a tape of its own, and the
+       leaf gradient is pushed back through it as the gradient of
+       ``sum(pooled * leaf_grad)``.
+    """
+    inputs = [dataset.model_frames(sample) for sample in batch]
+    frames = {}
+    for sample, window in zip(batch, inputs):
+        for fs, frame in zip(sample.frames, window):
+            frames.setdefault(id(fs), frame)
+    pooled = {key: model.encode(frame) for key, frame in frames.items()}
+
     scale = 1.0 / len(batch)
-    grads = {path: g * scale for path, g in grads.items()}
-    means = {name: v * scale for name, v in sums.items()}
-    return grads, means
+    sums = {name: 0.0 for name in (*LOSS_NAMES, "total")}
+    totals = []
+    with ad.Tape() as tape:
+        for sample, window in zip(batch, inputs):
+            total, values = sequence_loss(model, window, sample, weights,
+                                          bone_samples,
+                                          [pooled[id(fs)] for fs in sample.frames])
+            totals.append(total)
+            for name, v in values.items():
+                sums[name] += v
+        mean = ad.scale(_sum(totals), scale)
+    # gradients of the parameters (keyed by path) and of each pooled
+    # leaf (keyed like ``frames``)
+    g = ad.backward(tape, mean, {**dict(store.items()), **pooled})
+    tape.release()
+    grads = {path: g[path] for path in store.paths()}
+
+    for key, frame in frames.items():
+        with ad.Tape() as tape:
+            pushed = ad.sum_all(ad.mul(model.encode(frame), g[key]))
+        for path, grad in ad.backward(tape, pushed, store).items():
+            grads[path] = grads[path] + grad
+        tape.release()
+    return grads, {name: v * scale for name, v in sums.items()}
 
 
 # -- checkpoints --------------------------------------------------------------
@@ -207,19 +241,31 @@ class Trainer:
         self.state.step += 1
         return means
 
-    def _epoch_order(self, epoch: int) -> list[InstanceSample]:
+    def epoch_batches(self, epoch: int) -> list[list[InstanceSample]]:
+        """The batches of one epoch: shuffled segments of single tracks.
+
+        ``train_samples`` fall into runs of one (sequence, track) in
+        dataset order. Each run is cut into segments of up to
+        ``batch_size`` consecutive windows, the first cut at a random
+        offset so that segment borders move between epochs, and the
+        segments are shuffled. Every window is trained once per epoch.
+        """
         rng = np.random.Generator(np.random.PCG64(
             child_seed(self.cfg.seed, 400, epoch)))
-        order = rng.permutation(len(self.train_samples))
-        return [self.train_samples[i] for i in order]
+        bs = self.cfg.batch_size
+        batches = []
+        for _, run in itertools.groupby(
+                self.train_samples, key=lambda s: (s.sequence_name, s.track_id)):
+            run = list(run)
+            cuts = [0, *range(int(rng.integers(bs)) or bs, len(run), bs), len(run)]
+            batches += [run[a:b] for a, b in zip(cuts, cuts[1:])]
+        return [batches[i] for i in rng.permutation(len(batches))]
 
     def run_epoch(self, epoch: int, freeze_prefixes: tuple[str, ...] = (),
                   weights: LossWeights | None = None) -> dict[str, float]:
         weights = weights or self.weights
-        samples = self._epoch_order(epoch)
-        bs = self.cfg.batch_size
-        batch_means = [self._step(samples[i : i + bs], weights, freeze_prefixes)
-                       for i in range(0, len(samples), bs)]
+        batch_means = [self._step(batch, weights, freeze_prefixes)
+                       for batch in self.epoch_batches(epoch)]
         return {name: sum(means[name] for means in batch_means) / len(batch_means)
                 for name in batch_means[0]}
 

@@ -437,3 +437,28 @@ def test_unknown_study_exits_2(workdir):
     with pytest.raises(SystemExit) as exc:
         main(["ablate", "--config", cfg_path(workdir), "--study", "bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("line, key", [
+    ("seed = -1", "seed"),
+    ("scene.frame_rate_hz = 0", "scene.frame_rate_hz"),
+    ("scene.raster_h = 0", "scene.raster_h"),
+    ("scene.raster_w = 0", "scene.raster_w"),
+])
+def test_config_values_that_cannot_run_exit_2(tmp_path, capsys, line, key):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(TINY_CFG.replace("seed = 3\n", "") + line + "\n")
+    for command in ("generate", "train"):
+        assert main([command, "--config", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fusionpose: error:") and key in err
+    assert not (tmp_path / "data").exists()
+
+
+def test_negative_env_seed_exits_2(tmp_path, capsys, monkeypatch):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(TINY_CFG)
+    monkeypatch.setenv("FUSIONPOSE_SEED", "-1")
+    assert main(["generate", "--config", str(cfgfile)]) == 2
+    assert "FUSIONPOSE_SEED" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fusionpose.config import RunConfig, load_config, parse_config_text
-from fusionpose.errors import ConfigError
+from fusionpose.config import _KEY_MAP, RunConfig, load_config, parse_config_text
+from fusionpose.errors import ConfigError, FusionPoseError
 
 
 def test_defaults_follow_published_dimensions():
@@ -54,6 +56,16 @@ def test_missing_equals_sign():
     "model.joints = 19",
     "model.fusion = invalid",
     "train.window_stride = 0",
+    "seed = -1",
+    "scene.persons = 0",
+    "scene.persons = 100000",
+    "scene.frames = 3",
+    "scene.frame_rate_hz = 0",
+    "scene.frame_rate_hz = nan",
+    "scene.frame_rate_hz = inf",
+    "scene.frame_rate_hz = 1e-320",  # 200 frames would last forever
+    "scene.raster_h = 0",
+    "scene.raster_w = -4",
 ])
 def test_invariant_violations(line):
     with pytest.raises(ConfigError):
@@ -65,9 +77,10 @@ def test_env_seed_override(tmp_path, monkeypatch):
     path.write_text("seed = 1\n")
     monkeypatch.setenv("FUSIONPOSE_SEED", "777")
     assert load_config(path).seed == 777
-    monkeypatch.setenv("FUSIONPOSE_SEED", "not-an-int")
-    with pytest.raises(ConfigError):
-        load_config(path)
+    for bad in ("not-an-int", "-1"):
+        monkeypatch.setenv("FUSIONPOSE_SEED", bad)
+        with pytest.raises(ConfigError, match="FUSIONPOSE_SEED"):
+            load_config(path)
 
 
 def test_paths_resolve_against_config_dir(tmp_path):
@@ -91,3 +104,30 @@ def test_shipped_configs_parse():
     assert ref.seed == 42 and ref.scene_persons == 3 and ref.scene_frames == 200
     paper = load_config(root / "paper_default.cfg")
     assert paper.n_points == 256 and paper.width == 256
+
+
+_DEFAULTS = vars(RunConfig())
+_NUMERIC_KEYS = sorted(
+    key for key, name in _KEY_MAP.items()
+    if (key == "seed" or key.split(".")[0] in ("scene", "model", "optim"))
+    and type(_DEFAULTS[name]) in (int, float))
+
+_NUMBERS = st.one_of(
+    st.integers(-10, 300),
+    st.integers(-2**70, 2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0, 1, -1, 0.0, -0.0, 1e-320, 1e308, "nan", "inf", "-inf"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(_NUMERIC_KEYS), _NUMBERS, min_size=1, max_size=4))
+def test_numeric_values_configure_or_raise_package_errors(values):
+    text = "".join(f"{key} = {value!r}\n".replace("'", "") for key, value in values.items())
+    try:
+        cfg = parse_config_text(text)
+        cfg.scene_config()
+        cfg.model_config()
+    except FusionPoseError:
+        pass

@@ -1,0 +1,153 @@
+"""Segment batches and the three-phase batch gradient of ``train``."""
+
+import numpy as np
+import pytest
+
+from fusionpose import autodiff as ad
+from fusionpose.config import parse_config_text
+from fusionpose.dataio import InstanceDataset, load_split
+from fusionpose.model import FusionPoseModel, build_model
+from fusionpose.synthdata.generate import generate_dataset
+from fusionpose.train import LOSS_NAMES, Trainer, batch_gradients, sequence_loss
+
+TINY_CFG = """
+seed = 3
+model.n_points = 32
+model.width = 32
+model.image_hw = 16
+model.joint_feat_dim = 8
+model.head_hidden = 16
+scene.persons = 2
+scene.frames = 14
+scene.raster_h = 64
+scene.raster_w = 64
+scene.val_fraction = 0.35
+optim.batch_size = 4
+"""
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    root = tmp_path_factory.mktemp("train")
+    cfg = parse_config_text(TINY_CFG, base_dir=str(root))
+    generate_dataset(cfg.scene_config(), cfg.path("dataset_dir"))
+    data = InstanceDataset(load_split(cfg.path("dataset_dir"), "train"),
+                           cfg.model_config())
+    return cfg, data
+
+
+def per_window_tapes(model, store, dataset, batch, weights, bone_samples):
+    """Reference: one tape per window, every frame encoded on it."""
+    grads = None
+    sums = {name: 0.0 for name in (*LOSS_NAMES, "total")}
+    for sample in batch:
+        frames = dataset.model_frames(sample)
+        with ad.Tape() as tape:
+            total, values = sequence_loss(model, frames, sample, weights,
+                                          bone_samples)
+        g = ad.backward(tape, total, store)
+        tape.release()
+        grads = g if grads is None else {p: grads[p] + g[p] for p in grads}
+        for name, v in values.items():
+            sums[name] += v
+    scale = 1.0 / len(batch)
+    return ({p: g * scale for p, g in grads.items()},
+            {name: v * scale for name, v in sums.items()})
+
+
+def overlapping_batch(data, size=4):
+    batch = data.samples[:size]
+    assert len({(s.sequence_name, s.track_id) for s in batch}) == 1
+    assert [s.start_frame for s in batch] == list(range(size))
+    return batch
+
+
+def test_batch_gradients_match_per_window_tapes(tiny):
+    cfg, data = tiny
+    model, store = build_model(cfg.model_config(), 7)
+    batch = overlapping_batch(data)
+    args = (model, store, data, batch, cfg.loss_weights(), cfg.bone_samples)
+    want, want_means = per_window_tapes(*args)
+    got, got_means = batch_gradients(*args)
+    assert got_means == want_means
+    assert got.keys() == want.keys()
+    for path in want:
+        np.testing.assert_allclose(got[path], want[path], rtol=1e-10, atol=0,
+                                   err_msg=path)
+    assert any(np.abs(got[p]).max() > 0 for p in store.paths()
+               if p.startswith(("point.", "image.", "fuse")))
+
+
+def test_each_frame_encoded_twice_and_each_window_forwarded_once(tiny, monkeypatch):
+    cfg, data = tiny
+    model, store = build_model(cfg.model_config(), 7)
+    calls = {"fuse_frame": 0, "forward": 0}
+
+    def counted(name):
+        original = getattr(FusionPoseModel, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(FusionPoseModel, name, counted(name))
+    batch = overlapping_batch(data)
+    batch_gradients(model, store, data, batch, cfg.loss_weights(), cfg.bone_samples)
+    distinct = {id(fs) for s in batch for fs in s.frames}
+    assert len(distinct) == cfg.window + len(batch) - 1
+    assert calls == {"fuse_frame": 2 * len(distinct), "forward": len(batch)}
+
+
+def test_epoch_batches_are_shuffled_track_segments(tiny):
+    cfg, data = tiny
+    model, store = build_model(cfg.model_config(), 1)
+    trainer = Trainer(cfg, data, model, store)
+    samples = trainer.train_samples
+    position = {id(s): i for i, s in enumerate(samples)}
+    borders, in_order = set(), []
+    for epoch in range(6):
+        batches = trainer.epoch_batches(epoch)
+        seen = sorted(position[id(s)] for b in batches for s in b)
+        assert seen == list(range(len(samples)))
+        for b in batches:
+            assert 1 <= len(b) <= cfg.batch_size
+            assert len({(s.sequence_name, s.track_id) for s in b}) == 1
+            first = position[id(b[0])]
+            assert [position[id(s)] for s in b] == list(range(first, first + len(b)))
+            assert [s.start_frame for s in b] == sorted(s.start_frame for s in b)
+        heads = [position[id(b[0])] for b in batches]
+        borders.add(frozenset(heads))
+        in_order.append(heads == sorted(heads))
+        again = Trainer(cfg, data, *build_model(cfg.model_config(), 2))
+        assert ([[id(s) for s in b] for b in again.epoch_batches(epoch)]
+                == [[id(s) for s in b] for b in batches])
+    assert len(borders) > 1  # the first cut moves between epochs
+    assert not all(in_order)  # and the segments are shuffled
+
+
+def test_window_stride_4_trains(tiny):
+    _, data = tiny
+    cfg = parse_config_text(TINY_CFG + "train.window_stride = 4\n")
+    model, store = build_model(cfg.model_config(), 4)
+    before = {p: t.data.copy() for p, t in store.items()}
+    trainer = Trainer(cfg, data, model, store)
+    assert [s.start_frame % 4 for s in trainer.train_samples] == \
+        [0] * len(trainer.train_samples)
+    rows = trainer.train(checkpoint_dir=None, epochs=2)
+    assert len(rows) == 2 and all(np.isfinite(r["total"]) for r in rows)
+    assert trainer.state.step == sum(len(trainer.epoch_batches(e)) for e in range(2))
+    assert any(np.abs(t.data - before[p]).max() > 0 for p, t in store.items())
+
+
+def test_segment_batch_gradients_are_deterministic(tiny):
+    cfg, data = tiny
+    model, store = build_model(cfg.model_config(), 9)
+    batch = overlapping_batch(data)
+    args = (model, store, data, batch, cfg.loss_weights(), cfg.bone_samples)
+    first, _ = batch_gradients(*args)
+    second, _ = batch_gradients(*args)
+    for path in first:
+        np.testing.assert_array_equal(first[path], second[path])
+
