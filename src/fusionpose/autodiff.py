@@ -479,9 +479,9 @@ def gru_cell(x, h_prev, wz, uz, bz, wr, ur, br, wh, uh, bh) -> Tensor:
 def backward(tape: Tape, loss: Tensor, store) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss keyed by parameter path.
 
-    Parameters that did not participate in the tape get exact zeros.
+    Only parameters that reach the loss on this tape get an entry; an
+    absent path has an exactly zero gradient.
     """
     grads = tape.backward(loss)
-    return {
-        path: tape.grad_for(grads, tensor) for path, tensor in store.items()
-    }
+    return {path: grads[tensor.node_id] for path, tensor in store.items()
+            if tensor._tape is tape and tensor.node_id in grads}

@@ -119,10 +119,9 @@ class RunConfig:
     def path(self, name: str) -> Path:
         return (Path(self.base_dir) / getattr(self, name)).resolve()
 
-    def model_config(self, fusion: str | None = None,
-                     n_points: int | None = None) -> ModelConfig:
+    def model_config(self, fusion: str | None = None) -> ModelConfig:
         return ModelConfig(
-            n_points=n_points or self.n_points,
+            n_points=self.n_points,
             width=self.width,
             image_hw=self.image_hw,
             n_joints=self.joints,

@@ -39,7 +39,7 @@ class FrameSample:
     calib: Calibration
     person_index: int
     _gt_person: object = None  # PersonFrame backing the guarded GT accessor
-    model_points: np.ndarray | None = None  # cached (n, 3) centered input
+    model_points: np.ndarray | None = None  # cached (m <= n_points, 3) centered input
 
     @property
     def gt_pose3d(self) -> np.ndarray | None:
@@ -140,12 +140,12 @@ class InstanceDataset:
 
     def model_frames(self, sample: InstanceSample, point_budget: int | None = None,
                      occlusion: float = 0.0, seed: int = 0) -> list[ModelFrame]:
-        """Network inputs for one window.
+        """Network inputs for one window: the crop's real points, never padded.
 
-        ``point_budget`` randomly subsamples the crop cloud to that many
-        points before padding back to the model's input size (the
-        density-ablation protocol); ``occlusion`` uniformly drops that
-        fraction of the crop first.
+        ``occlusion`` first drops that fraction of the crop uniformly,
+        ``point_budget`` then subsamples what is left to that many points
+        (the density-ablation protocol), and ``downsample`` caps the rest
+        at ``model_cfg.n_points``.
         """
         out = []
         for fs in sample.frames:

@@ -196,20 +196,16 @@ class Pose2D:
 
 
 def downsample(points: np.ndarray, n: int) -> np.ndarray:
-    """Reduce (or pad) a point cloud to exactly ``n`` points.
+    """Cap a point cloud at ``n`` points.
 
-    With enough points this is farthest-point sampling seeded at the
-    point nearest the centroid, which is deterministic; small clouds are
-    padded by repeating points cyclically.
+    A cloud of at most ``n`` points comes back whole and in order; a
+    larger one is reduced by farthest-point sampling seeded at the point
+    nearest the centroid, which is deterministic.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3 or points.shape[0] == 0:
         raise InvalidInputError(f"downsample wants a non-empty (m, 3) cloud, got {points.shape}")
-    m = points.shape[0]
-    if m < n:
-        idx = np.arange(n) % m
-        return points[idx].copy()
-    if m == n:
+    if points.shape[0] <= n:
         return points.copy()
     centroid = points.mean(axis=0)
     seed_idx = int(np.argmin(((points - centroid) ** 2).sum(axis=1)))

@@ -99,7 +99,7 @@ def finite_diff_check(f, store: ParameterStore, step: float = 1e-5,
             coords = np.sort(rng.choice(n, size=max_coords_per_param, replace=False))
         else:
             coords = np.arange(n)
-        gflat = grads[path].reshape(-1)
+        gflat = grads.get(path, np.zeros_like(tensor.data)).reshape(-1)
         worst = 0.0
         for i in coords:
             try:

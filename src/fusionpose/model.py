@@ -27,7 +27,7 @@ FUSION_VARIANTS = ("ipa", "point_rgb", "pixel", "local", "global")
 
 @dataclass(frozen=True)
 class ModelConfig:
-    n_points: int = 256
+    n_points: int = 256  # cap on a crop's points; no weight depends on it
     width: int = 256
     image_hw: int = 64
     n_joints: int = 21
@@ -59,7 +59,7 @@ class ModelConfig:
 class ModelFrame:
     """One frame of network input for one instance."""
 
-    points: np.ndarray  # (n, 3), centered on the 3D crop-box center
+    points: np.ndarray  # (m, 3), m >= 1, centered on the 3D crop-box center
     raster: np.ndarray  # (hw, hw, 3) cropped image
     box_center: np.ndarray  # (3,) world
     box2d: tuple[float, float, float, float]
@@ -264,7 +264,7 @@ class TemporalEstimator:
 
 def lookup_weights(points_world: np.ndarray, calib: Calibration,
                    box2d, image_hw: int) -> np.ndarray:
-    """Constant (n_points, n_tokens) bilinear gather matrix.
+    """Constant (m, n_tokens) bilinear gather matrix for m points.
 
     Each row picks the token-grid neighborhood of the point's projected
     pixel mapped into the image crop; points projecting outside the crop
@@ -297,8 +297,8 @@ class FusionPoseModel:
     """End-to-end network over one instance window.
 
     The fusion variant is fixed at construction; every variant emits
-    (n_points, width) per-frame features so the temporal estimator is
-    variant-agnostic.
+    (m, width) features for a frame of any m >= 1 points (no weight
+    depends on m), so the temporal estimator is variant-agnostic.
     """
 
     def __init__(self, cfg: ModelConfig, store):
@@ -315,13 +315,12 @@ class FusionPoseModel:
         self.temporal = TemporalEstimator(store, "temporal", cfg)
 
     def _check_frame(self, frame: ModelFrame) -> None:
-        n = self.cfg.n_points
-        if frame.points.shape != (n, 3):
-            raise DimensionError(
-                f"expected ({n}, 3) points, got {frame.points.shape}")
+        shape = np.shape(frame.points)
+        if len(shape) != 2 or shape[0] == 0 or shape[1] != 3:
+            raise DimensionError(f"expected (m, 3) points with m >= 1, got {shape}")
 
     def fuse_frame(self, frame: ModelFrame):
-        """Per-frame fused features (n_points, width); also returns the
+        """Per-frame fused features (m, width); also returns the
         cross-attention affinity when the variant is ipa (else None)."""
         self._check_frame(frame)
         cfg = self.cfg
@@ -359,7 +358,7 @@ class FusionPoseModel:
         g_img = ad.matmul(np.full((1, m), 1.0 / m), fi)
         g_pt = ad.max_over_rows(fp)
         g = ad.concat([g_img, g_pt], axis=1)
-        broadcast = ad.matmul(np.ones((cfg.n_points, 1)), g)
+        broadcast = ad.matmul(np.ones((fp.shape[0], 1)), g)
         return self.global_reduce(broadcast), None
 
     def encode(self, frame: ModelFrame) -> ad.Tensor:

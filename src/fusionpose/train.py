@@ -134,21 +134,26 @@ def batch_gradients(model: FusionPoseModel, store: ParameterStore,
     # leaf (keyed like ``frames``)
     g = ad.backward(tape, mean, {**dict(store.items()), **pooled})
     tape.release()
-    grads = {path: g[path] for path in store.paths()}
+    grads = {path: g[path] for path in store.paths() if path in g}
 
     for key, frame in frames.items():
+        if key not in g:
+            continue  # the loss does not depend on this frame
         with ad.Tape() as tape:
             pushed = ad.sum_all(ad.mul(model.encode(frame), g[key]))
         for path, grad in ad.backward(tape, pushed, store).items():
-            grads[path] = grads[path] + grad
+            grads[path] = grads[path] + grad if path in grads else grad
         tape.release()
+    # parameters no tape reached (e.g. image.* under point_rgb) are zero
+    grads = {path: grads[path] if path in grads else np.zeros_like(tensor.data)
+             for path, tensor in store.items()}
     return grads, {name: v * scale for name, v in sums.items()}
 
 
 # -- checkpoints --------------------------------------------------------------
 
-_CFG_KEYS = ("n_points", "width", "image_hw", "n_joints", "window",
-             "joint_feat_dim", "head_hidden")
+_CFG_KEYS = ("width", "image_hw", "n_joints", "window", "joint_feat_dim",
+             "head_hidden")
 
 
 def save_checkpoint(store: ParameterStore, path: str | Path,

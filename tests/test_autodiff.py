@@ -326,6 +326,18 @@ def test_backward_unused_input_gradient_is_exactly_zero():
     tape.release()
 
 
+def test_backward_by_path_returns_only_parameters_on_the_tape():
+    store = ParameterStore(seed=3)
+    used = store.weight("a.w", (2, 2))
+    store.weight("b.w", (2, 2))
+    with ad.Tape() as tape:
+        loss = ad.sum_all(ad.mul(used, used))
+    grads = ad.backward(tape, loss, store)
+    tape.release()
+    assert list(grads) == ["a.w"]
+    np.testing.assert_array_equal(grads["a.w"], 2.0 * used.data)
+
+
 def test_backward_rejects_non_scalar_loss():
     x = ad.Tensor(np.ones(3))
     with ad.Tape() as tape:

@@ -420,6 +420,28 @@ def test_checkpoint_model_mismatch_exits_3(workdir, tmp_path):
     assert main(["eval", "--config", str(cfgfile)]) == 3
 
 
+def test_checkpoint_with_a_stale_n_points_entry_loads(workdir, tmp_path):
+    cfg = load_config(cfg_path(workdir))
+    _, store = build_model(cfg.model_config(), seed=cfg.seed)
+    current = tmp_path / "current.fpck"
+    save_checkpoint(store, current, cfg.model_config(), TrainState(seed=cfg.seed))
+    extra = {k: v for k, v in ParameterStore.read_entries(current).items()
+             if k.startswith("__")}
+    assert "__cfg__.n_points" not in extra
+    # written before n_points left the signature, with another point count
+    legacy = tmp_path / "legacy.fpck"
+    store.save(legacy, {**extra, "__cfg__.n_points": np.asarray(64.0)})
+    out = tmp_path / "metrics.csv"
+    args = ["eval", "--checkpoint", str(legacy), "--out", str(out)]
+    assert main([*args, "--config", cfg_path(workdir)]) == 0
+    wide = tmp_path / "wide.cfg"
+    wide.write_text(TINY_CFG
+                    .replace("paths.dataset_dir = data",
+                             f"paths.dataset_dir = {workdir / 'data'}")
+                    .replace("model.width = 32", "model.width = 64"))
+    assert main([*args, "--config", str(wide)]) == 3
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text("model.n_points = 100\n")

@@ -56,7 +56,7 @@ def test_instance_dataset_builds_model_inputs(dataset_dir):
     assert len(sample.frames) == 4
     frames = data.model_frames(sample)
     for fs, mf in zip(sample.frames, frames):
-        assert mf.points.shape == (64, 3)
+        assert mf.points.shape == (min(len(fs.crop_cloud), 64), 3)
         assert mf.raster.shape == (16, 16, 3)
         # points are centered on the box center
         assert np.abs(mf.points.mean(axis=0)).max() < 2.0
@@ -70,13 +70,31 @@ def test_model_frames_with_budget_and_occlusion(dataset_dir):
     base = data.model_frames(sample)
     small = data.model_frames(sample, point_budget=8, seed=1)
     occluded = data.model_frames(sample, occlusion=0.6, seed=1)
-    for mf in (*small, *occluded):
-        assert mf.points.shape == (64, 3)
-    # a budget of 8 leaves at most 8 distinct points
-    distinct = {tuple(p) for p in small[0].points}
-    assert len(distinct) <= 8
+    for mf in small:
+        assert 1 <= len(mf.points) <= 8
     assert any(not np.array_equal(a.points, b.points)
                for a, b in zip(base, occluded))
+
+
+@pytest.mark.parametrize("arm, cap", [(dict(), 64),
+                                      (dict(point_budget=256, seed=1), 64),
+                                      (dict(point_budget=32, seed=1), 32),
+                                      (dict(occlusion=0.6, seed=1), None)],
+                         ids=["clean", "budget256", "budget32", "occlusion"])
+def test_model_frames_hold_distinct_crop_points_up_to_the_cap(dataset_dir, arm, cap):
+    cfg = model_cfg()
+    data = InstanceDataset(load_split(dataset_dir, "train"), cfg)
+    sizes = set()
+    for sample in data.samples:
+        for fs, mf in zip(sample.frames, data.model_frames(sample, **arm)):
+            rows = {tuple(p) for p in mf.points}
+            assert len(rows) == len(mf.points) <= cfg.n_points
+            assert rows <= {tuple(p) for p in fs.crop_cloud - fs.box_center}
+            if cap is not None:
+                assert len(mf.points) == min(len(fs.crop_cloud), cap)
+            sizes.add(len(fs.crop_cloud))
+    # the dataset has crops both below and above the cap
+    assert min(sizes) < cfg.n_points < max(sizes)
 
 
 def test_frames_are_shared_between_overlapping_windows(dataset_dir):

@@ -93,13 +93,12 @@ def test_downsample_exact_count_is_same_set():
     assert sorted(map(tuple, out)) == sorted(map(tuple, pts))
 
 
-def test_downsample_pads_small_clouds_cyclically():
-    pts = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0]])
-    out = downsample(pts, 256)
-    assert out.shape == (256, 3)
-    for row in out:
-        assert tuple(row) in {(0, 0, 0), (1, 0, 0), (2, 0, 0)}
-    np.testing.assert_array_equal(out[:6], pts[[0, 1, 2, 0, 1, 2]])
+def test_downsample_returns_small_clouds_whole_and_in_order():
+    for m in (1, 3, 255, 256):
+        pts = np.random.default_rng(m).normal(size=(m, 3))
+        out = downsample(pts, 256)
+        np.testing.assert_array_equal(out, pts)
+        assert out is not pts
 
 
 def test_downsample_rejects_empty():

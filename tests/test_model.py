@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fusionpose import autodiff as ad
 from fusionpose.errors import ConfigError, DimensionError
@@ -18,11 +22,11 @@ def tiny_config(**kwargs):
     return ModelConfig(**defaults)
 
 
-def make_frames(cfg, seed=0, center=(7.0, 0.0, 1.0)):
+def make_frames(cfg, seed=0, center=(7.0, 0.0, 1.0), m=None):
     rng = np.random.default_rng(seed)
     frames = []
     for _ in range(cfg.window):
-        pts = rng.normal(0.0, 0.3, size=(cfg.n_points, 3))
+        pts = rng.normal(0.0, 0.3, size=(m or cfg.n_points, 3))
         raster = rng.random((cfg.image_hw, cfg.image_hw, 3))
         frames.append(ModelFrame(pts, raster, np.asarray(center, dtype=float),
                                  (20.0, 20.0, 76.0, 76.0), CALIB))
@@ -107,13 +111,14 @@ def test_image_encoder_rejects_indivisible_sizes():
         ModelConfig(image_hw=30)
 
 
-def test_wrong_point_count_raises_dimension_error():
+def test_malformed_points_raise_dimension_error():
     cfg = tiny_config()
     model, _ = build_model(cfg, seed=8)
-    frames = make_frames(cfg)
-    frames[0].points = frames[0].points[:-1]
-    with pytest.raises(DimensionError):
-        model.forward(frames)
+    for points in (np.zeros((5, 2)), np.zeros((0, 3))):
+        frames = make_frames(cfg)
+        frames[0].points = points
+        with pytest.raises(DimensionError):
+            model.forward(frames)
 
 
 def test_wrong_window_length_raises():
@@ -132,6 +137,34 @@ def test_every_variant_emits_points_by_width(variant):
     model, _ = build_model(cfg, seed=10)
     fused, _ = model.fuse_frame(make_frames(cfg)[0])
     assert fused.shape == (cfg.n_points, cfg.width)
+
+
+@functools.cache
+def variant_model(variant):
+    return build_model(tiny_config(fusion=variant), seed=24)[0]
+
+
+@pytest.mark.parametrize("variant", FUSION_VARIANTS)
+@settings(max_examples=10, deadline=None)
+@given(m=st.integers(1, tiny_config().n_points), seed=st.integers(0, 2**16))
+@example(m=1, seed=0)
+def test_any_point_count_gives_finite_outputs_of_documented_shapes(variant, m, seed):
+    model = variant_model(variant)
+    cfg = model.cfg
+    frames = make_frames(cfg, seed=seed, m=m)
+    fused, affinity = model.fuse_frame(frames[0])
+    assert fused.shape == (m, cfg.width)
+    assert np.isfinite(fused.data).all()
+    if variant == "ipa":
+        assert affinity.shape == (m, cfg.n_tokens)
+        assert np.isfinite(affinity.data).all()
+    for o in model.forward(frames):
+        for out, shape in ((o.motion, (cfg.n_joints, 2)),
+                           (o.positions, (cfg.n_joints, 3)),
+                           (o.features, (cfg.n_joints, cfg.joint_feat_dim)),
+                           (o.final_pose, (cfg.n_joints, 3))):
+            assert out.shape == shape
+            assert np.isfinite(out.data).all()
 
 
 def test_global_fusion_invariant_to_token_permutation():
