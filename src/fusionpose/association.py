@@ -20,10 +20,9 @@ from .geometry import Calibration, Pose2D, project
 
 @dataclass(frozen=True)
 class Detection2D:
-    """Image-space person box (u_min, v_min, u_max, v_max) with a score."""
+    """Image-space person box (u_min, v_min, u_max, v_max)."""
 
     box: tuple[float, float, float, float]
-    score: float = 1.0
 
     def __post_init__(self):
         u0, v0, u1, v1 = self.box

@@ -35,7 +35,6 @@ class RunConfig:
     n_points: int = 256
     width: int = 256
     image_hw: int = 64
-    joints: int = 21
     window: int = 4
     joint_feat_dim: int = 64
     head_hidden: int = 64
@@ -107,12 +106,16 @@ class RunConfig:
             raise ConfigError(f"model.n_points must be one of {_ALLOWED_POINTS}")
         if self.window < 2:
             raise ConfigError("model.window must be >= 2")
-        if self.joints != 21:
-            raise ConfigError("model.joints is fixed at 21 for this skeleton")
         if self.fusion not in FUSION_VARIANTS:
             raise ConfigError(f"model.fusion must be one of {FUSION_VARIANTS}")
         if self.window_stride < 1:
             raise ConfigError("train.window_stride must be >= 1")
+        if self.bone_samples < 0:
+            raise ConfigError("loss.bone_samples must be >= 0")
+        if not 0.0 <= self.occlusion_fraction < 1.0:  # also rejects nan
+            raise ConfigError("ablate.occlusion_fraction must be finite and in [0, 1)")
+        if any(budget < 1 for budget in self.point_budgets):
+            raise ConfigError("ablate.point_budgets must all be >= 1")
 
     # -- derived objects ----------------------------------------------------
 
@@ -124,7 +127,6 @@ class RunConfig:
             n_points=self.n_points,
             width=self.width,
             image_hw=self.image_hw,
-            n_joints=self.joints,
             window=self.window,
             joint_feat_dim=self.joint_feat_dim,
             head_hidden=self.head_hidden,
@@ -172,7 +174,6 @@ _KEY_MAP = {
     "model.n_points": "n_points",
     "model.width": "width",
     "model.image_hw": "image_hw",
-    "model.joints": "joints",
     "model.window": "window",
     "model.joint_feat_dim": "joint_feat_dim",
     "model.head_hidden": "head_hidden",

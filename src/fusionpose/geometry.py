@@ -9,7 +9,6 @@ of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -47,29 +46,6 @@ class Calibration:
 
     def camera_center_world(self) -> np.ndarray:
         return -self.rotation.T @ self.translation
-
-    def save(self, path: str | Path) -> None:
-        lines = [f"fx = {float(self.fx)!r}", f"fy = {float(self.fy)!r}",
-                 f"cx = {float(self.cx)!r}", f"cy = {float(self.cy)!r}"]
-        for i in range(3):
-            for j in range(3):
-                lines.append(f"r{i}{j} = {float(self.rotation[i, j])!r}")
-        for axis, value in zip("xyz", self.translation):
-            lines.append(f"t{axis} = {float(value)!r}")
-        Path(path).write_text("\n".join(lines) + "\n")
-
-    @staticmethod
-    def load(path: str | Path) -> "Calibration":
-        values: dict[str, float] = {}
-        for raw in Path(path).read_text().splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, rhs = line.partition("=")
-            values[key.strip()] = float(rhs.strip())
-        rot = np.array([[values[f"r{i}{j}"] for j in range(3)] for i in range(3)])
-        trans = np.array([values["tx"], values["ty"], values["tz"]])
-        return Calibration(values["fx"], values["fy"], values["cx"], values["cy"], rot, trans)
 
 
 def project(pts: np.ndarray, calib: Calibration) -> tuple[np.ndarray, np.ndarray]:
@@ -142,6 +118,7 @@ _JOINT_NAMES = (
     "r_eye", "l_eye", "r_ear", "l_ear",
     "r_foot_tip", "l_foot_tip",
 )
+N_JOINTS = len(_JOINT_NAMES)
 
 _BONES = (
     (8, 1), (1, 0),

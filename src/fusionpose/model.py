@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, DimensionError
-from .geometry import Calibration, bilinear_sample, project
+from .geometry import N_JOINTS, Calibration, bilinear_sample, project
 from .params import ParameterStore
 
 FUSION_VARIANTS = ("ipa", "point_rgb", "pixel", "local", "global")
@@ -30,7 +30,6 @@ class ModelConfig:
     n_points: int = 256  # cap on a crop's points; no weight depends on it
     width: int = 256
     image_hw: int = 64
-    n_joints: int = 21
     window: int = 4
     joint_feat_dim: int = 64
     head_hidden: int = 64
@@ -45,6 +44,10 @@ class ModelConfig:
             raise ConfigError(f"unknown fusion variant {self.fusion!r}")
         if self.window < 2:
             raise ConfigError("temporal window must be >= 2")
+
+    @property
+    def n_joints(self) -> int:
+        return N_JOINTS
 
     @property
     def n_tokens(self) -> int:

@@ -111,7 +111,7 @@ def simulate_frames(cfg: SceneConfig) -> list[FrameRecord]:
                 seed=child_seed(cfg.seed, 3, f, pid))
             persons.append(PersonFrame(kp.joints, kp.visibility, det2d, det3d,
                                        pose.joints.copy()))
-        frames.append(FrameRecord(points, labels.astype(np.int64), raster, persons))
+        frames.append(FrameRecord(points, raster, persons))
     return frames
 
 
@@ -134,7 +134,6 @@ def generate_dataset(cfg: SceneConfig, out_dir: str | Path) -> dict:
         write_sequence(out / name, SequenceData(cfg.calibration, chunk, has_gt=True))
         files[split] = [name]
     write_manifest(out, files)
-    cfg.calibration.save(out / "calibration.txt")
     return {
         "out_dir": str(out),
         "persons": len(cfg.persons),

@@ -272,8 +272,7 @@ def simulate_detections(pose: Pose3D, person_points: np.ndarray,
         box = np.array([u0 - du, v0 - dv, u1 + du, v1 + dv])
         box += rng.normal(0.0, jitter.box2d_sigma_px, size=4)
         if box[0] < box[2] and box[1] < box[3]:
-            score = float(np.clip(rng.normal(0.9, 0.05), 0.0, 1.0))
-            det2d = Detection2D(tuple(box), score)
+            det2d = Detection2D(tuple(box))
     return det2d, det3d
 
 

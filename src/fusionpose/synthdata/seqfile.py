@@ -7,13 +7,16 @@ Little-endian layout (extension ``.fpseq``):
     calibration: fx fy cx cy (f64), rotation row-major (9 f64),
                  translation (3 f64)
     per frame:
-        u32 point_count | points xyz (f64) | labels (u16)
+        u32 point_count | points xyz (f64)
         raster (f32, height*width*3)
         per person:
             keypoints (21x2 f64) | visibility (21 u8)
             [gt pose 21x3 f64, only when has_gt]
-            u8 has_det2d [box (4 f64) + score (f64)]
+            u8 has_det2d [box (4 f64)]
             u8 has_det3d [center (3 f64) + size (3 f64) + yaw (f64)]
+
+Version 1 files, which also held a person label per point and a score
+per 2D detection, are rejected.
 
 A plain-text ``manifest.txt`` in the dataset directory lists sequence
 files per split, one ``<split> <filename>`` per line.
@@ -32,12 +35,11 @@ import numpy as np
 
 from ..association import Detection2D, Detection3D
 from ..errors import InvalidInputError
-from ..geometry import Calibration
+from ..geometry import N_JOINTS, Calibration
 from ..gtguard import GT_GUARD
 
 MAGIC = b"FPSEQ1"
-VERSION = 1
-N_JOINTS = 21
+VERSION = 2
 
 
 @dataclass
@@ -61,7 +63,6 @@ class PersonFrame:
 @dataclass
 class FrameRecord:
     points: np.ndarray  # (m, 3)
-    labels: np.ndarray  # (m,) person index per point
     raster: np.ndarray  # (h, w, 3) float32
     persons: list[PersonFrame] = field(default_factory=list)
 
@@ -99,7 +100,6 @@ def write_sequence(path: str | Path, data: SequenceData) -> None:
         pts = np.asarray(frame.points, dtype="<f8")
         out += struct.pack("<I", pts.shape[0])
         out += pts.tobytes()
-        out += np.asarray(frame.labels, dtype="<u2").tobytes()
         raster = np.asarray(frame.raster, dtype="<f4")
         if raster.shape != (h, w, 3):
             raise InvalidInputError(f"raster shape {raster.shape} != {(h, w, 3)}")
@@ -114,7 +114,7 @@ def write_sequence(path: str | Path, data: SequenceData) -> None:
                     raise InvalidInputError("has_gt sequence with missing GT pose")
                 out += np.asarray(person._gt3d, dtype="<f8").tobytes()
             if person.det2d is not None:
-                out += struct.pack("<B4dd", 1, *person.det2d.box, person.det2d.score)
+                out += struct.pack("<B4d", 1, *person.det2d.box)
             else:
                 out += struct.pack("<B", 0)
             if person.det3d is not None:
@@ -159,7 +159,9 @@ def read_sequence(path: str | Path) -> SequenceData:
     cur.pos = len(MAGIC)
     version, n_frames, n_persons, h, w, has_gt = cur.unpack("<IIHHHB")
     if version != VERSION:
-        raise InvalidInputError(f"{path}: unsupported version {version}")
+        raise InvalidInputError(f"{path}: unsupported version {version} "
+                                f"(this program reads version {VERSION}); "
+                                "regenerate the dataset with 'fusionpose generate'")
     fx, fy, cx, cy = cur.unpack("<4d")
     rotation = cur.array("<f8", 9, (3, 3))
     translation = cur.array("<f8", 3, (3,))
@@ -168,7 +170,6 @@ def read_sequence(path: str | Path) -> SequenceData:
     for _ in range(n_frames):
         (n_pts,) = cur.unpack("<I")
         points = cur.array("<f8", n_pts * 3, (n_pts, 3))
-        labels = cur.array("<u2", n_pts, (n_pts,)).astype(np.int64)
         raster = cur.array("<f4", h * w * 3, (h, w, 3))
         persons = []
         for _ in range(n_persons):
@@ -178,15 +179,14 @@ def read_sequence(path: str | Path) -> SequenceData:
             (flag2d,) = cur.unpack("<B")
             det2d = None
             if flag2d:
-                u0, v0, u1, v1, score = cur.unpack("<5d")
-                det2d = Detection2D((u0, v0, u1, v1), score)
+                det2d = Detection2D(cur.unpack("<4d"))
             (flag3d,) = cur.unpack("<B")
             det3d = None
             if flag3d:
                 vals = cur.unpack("<7d")
                 det3d = Detection3D(tuple(vals[:3]), tuple(vals[3:6]), vals[6])
             persons.append(PersonFrame(kp, vis, det2d, det3d, gt))
-        frames.append(FrameRecord(points, labels, raster, persons))
+        frames.append(FrameRecord(points, raster, persons))
     return SequenceData(calib, frames, bool(has_gt))
 
 

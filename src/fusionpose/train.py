@@ -152,8 +152,7 @@ def batch_gradients(model: FusionPoseModel, store: ParameterStore,
 
 # -- checkpoints --------------------------------------------------------------
 
-_CFG_KEYS = ("width", "image_hw", "n_joints", "window", "joint_feat_dim",
-             "head_hidden")
+_CFG_KEYS = ("width", "image_hw", "window", "joint_feat_dim", "head_hidden")
 
 
 def save_checkpoint(store: ParameterStore, path: str | Path,
@@ -189,13 +188,8 @@ def load_checkpoint(store: ParameterStore, path: str | Path,
 
 
 def latest_checkpoint(checkpoint_dir: str | Path) -> Path | None:
-    files = sorted(Path(checkpoint_dir).glob("epoch_*.fpck"))
-    return files[-1] if files else None
-
-
-def _newest_readable_checkpoint(checkpoint_dir: Path) -> Path | None:
     """The newest checkpoint that parses; unreadable ones are skipped."""
-    for path in sorted(checkpoint_dir.glob("epoch_*.fpck"), reverse=True):
+    for path in sorted(Path(checkpoint_dir).glob("epoch_*.fpck"), reverse=True):
         try:
             ParameterStore.read_entries(path)
         except (CheckpointMismatchError, OSError) as exc:
@@ -268,10 +262,14 @@ class Trainer:
 
     def run_epoch(self, epoch: int, freeze_prefixes: tuple[str, ...] = (),
                   weights: LossWeights | None = None) -> dict[str, float]:
+        """Train one epoch; returns its loss terms, each the mean over windows."""
         weights = weights or self.weights
+        batches = self.epoch_batches(epoch)
         batch_means = [self._step(batch, weights, freeze_prefixes)
-                       for batch in self.epoch_batches(epoch)]
-        return {name: sum(means[name] for means in batch_means) / len(batch_means)
+                       for batch in batches]
+        n_windows = sum(len(batch) for batch in batches)
+        return {name: sum(means[name] * len(batch)
+                          for means, batch in zip(batch_means, batches)) / n_windows
                 for name in batch_means[0]}
 
     def train(self, checkpoint_dir: str | Path | None = None,
@@ -283,7 +281,7 @@ class Trainer:
         start_epoch = 0
         if ckpt_dir:
             ckpt_dir.mkdir(parents=True, exist_ok=True)
-            last = _newest_readable_checkpoint(ckpt_dir) if resume else None
+            last = latest_checkpoint(ckpt_dir) if resume else None
             if last is not None:
                 self.state = load_checkpoint(self.store, last, self.model.cfg)
                 if self.state.seed != self.cfg.seed:

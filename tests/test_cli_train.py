@@ -234,6 +234,16 @@ def test_resume_skips_unreadable_newest_checkpoint(workdir, tmp_path, caplog):
     blob = newest.read_bytes()
     newest.write_bytes(blob[: len(blob) // 2])
 
+    # eval without --checkpoint resolves the same way as resume
+    older = tmp_path / "ckpt" / "epoch_000.fpck"
+    metrics = tmp_path / "reports" / "metrics_val.csv"
+    assert main(["eval", "--config", str(cfgfile)]) == 0
+    assert f"skipping unreadable checkpoint: {newest}" in caplog.text
+    resolved = metrics.read_bytes()
+    assert main(["eval", "--config", str(cfgfile), "--checkpoint", str(older)]) == 0
+    assert metrics.read_bytes() == resolved
+    caplog.clear()
+
     assert main(["train", "--config", str(cfgfile)]) == 0
     assert f"skipping unreadable checkpoint: {newest}" in caplog.text
     resumed = (tmp_path / "reports" / "loss_log.csv").read_text().splitlines()
@@ -298,6 +308,22 @@ def test_malformed_manifest_exits_2(workdir, tmp_path, capsys, manifest, where):
     err = capsys.readouterr().err
     assert err.startswith("fusionpose: error:")
     assert f"{data}/{where}" in err
+
+
+def test_version_1_sequence_file_exits_2(workdir, tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for src in (workdir / "data").iterdir():
+        blob = bytearray(src.read_bytes())
+        if src.suffix == ".fpseq":
+            blob[6:10] = (1).to_bytes(4, "little")  # the u32 after the magic
+        (data / src.name).write_bytes(bytes(blob))
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(TINY_CFG.replace("paths.dataset_dir = data",
+                                        f"paths.dataset_dir = {data}"))
+    assert main(["eval", "--config", str(cfgfile), "--oracle"]) == 2
+    err = capsys.readouterr().err
+    assert "unsupported version 1" in err and "regenerate" in err
 
 
 def test_warm_start_freezes_image_and_fusion_branches(workdir):
@@ -427,10 +453,11 @@ def test_checkpoint_with_a_stale_n_points_entry_loads(workdir, tmp_path):
     save_checkpoint(store, current, cfg.model_config(), TrainState(seed=cfg.seed))
     extra = {k: v for k, v in ParameterStore.read_entries(current).items()
              if k.startswith("__")}
-    assert "__cfg__.n_points" not in extra
-    # written before n_points left the signature, with another point count
+    assert "__cfg__.n_points" not in extra and "__cfg__.n_joints" not in extra
+    # written before n_points and n_joints left the signature
     legacy = tmp_path / "legacy.fpck"
-    store.save(legacy, {**extra, "__cfg__.n_points": np.asarray(64.0)})
+    store.save(legacy, {**extra, "__cfg__.n_points": np.asarray(64.0),
+                        "__cfg__.n_joints": np.asarray(21.0)})
     out = tmp_path / "metrics.csv"
     args = ["eval", "--checkpoint", str(legacy), "--out", str(out)]
     assert main([*args, "--config", cfg_path(workdir)]) == 0
@@ -466,12 +493,16 @@ def test_unknown_study_exits_2(workdir):
     ("scene.frame_rate_hz = 0", "scene.frame_rate_hz"),
     ("scene.raster_h = 0", "scene.raster_h"),
     ("scene.raster_w = 0", "scene.raster_w"),
+    ("model.joints = 21", "model.joints"),
+    ("ablate.point_budgets = 256,-1", "ablate.point_budgets"),
+    ("ablate.occlusion_fraction = nan", "ablate.occlusion_fraction"),
+    ("loss.bone_samples = -1", "loss.bone_samples"),
 ])
 def test_config_values_that_cannot_run_exit_2(tmp_path, capsys, line, key):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(TINY_CFG.replace("seed = 3\n", "") + line + "\n")
-    for command in ("generate", "train"):
-        assert main([command, "--config", str(cfgfile)]) == 2
+    for command in (["generate"], ["train"], ["eval"], ["ablate", "--study", "density"]):
+        assert main([*command, "--config", str(cfgfile)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("fusionpose: error:") and key in err
     assert not (tmp_path / "data").exists()

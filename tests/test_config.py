@@ -9,7 +9,7 @@ from fusionpose.errors import ConfigError, FusionPoseError
 def test_defaults_follow_published_dimensions():
     cfg = RunConfig()
     assert cfg.n_points == 256
-    assert cfg.joints == 21
+    assert cfg.model_config().n_joints == 21
     assert cfg.window == 4
     assert cfg.batch_size == 8
     mc = cfg.model_config()
@@ -66,6 +66,14 @@ def test_missing_equals_sign():
     "scene.frame_rate_hz = 1e-320",  # 200 frames would last forever
     "scene.raster_h = 0",
     "scene.raster_w = -4",
+    "ablate.point_budgets = -5",
+    "ablate.point_budgets = 256,-1",
+    "ablate.point_budgets = 0",
+    "ablate.occlusion_fraction = -0.2",
+    "ablate.occlusion_fraction = 1.0",
+    "ablate.occlusion_fraction = nan",
+    "ablate.occlusion_fraction = inf",
+    "loss.bone_samples = -1",
 ])
 def test_invariant_violations(line):
     with pytest.raises(ConfigError):

@@ -32,15 +32,6 @@ def test_calibration_rejects_nonpositive_focal():
         Calibration(-1, 1, 0, 0, np.eye(3), np.zeros(3))
 
 
-def test_calibration_file_round_trip(tmp_path):
-    calib = default_calibration(96, 72)
-    calib.save(tmp_path / "calib.txt")
-    loaded = Calibration.load(tmp_path / "calib.txt")
-    assert loaded.fx == calib.fx and loaded.cy == calib.cy
-    np.testing.assert_array_equal(loaded.rotation, calib.rotation)
-    np.testing.assert_array_equal(loaded.translation, calib.translation)
-
-
 def test_project_pinhole_by_hand():
     pixels, valid = project(np.array([[1.0, 2.0, 2.0]]), identity_calib())
     assert valid[0]

@@ -452,7 +452,9 @@ def test_generate_dataset_is_byte_identical(tmp_path):
     cfg = small_scene()
     generate_dataset(cfg, tmp_path / "a")
     generate_dataset(cfg, tmp_path / "b")
-    for name in ("train_000.fpseq", "val_000.fpseq", "manifest.txt"):
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == ["manifest.txt", "train_000.fpseq", "val_000.fpseq"]
+    for name in names:
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
 
@@ -467,9 +469,13 @@ def test_sequence_round_trip_is_exact(tmp_path):
     back = read_sequence(path)
     assert len(back.frames) == len(frames)
     assert back.has_gt
+    calib, got_calib = cfg.calibration, back.calibration
+    assert (got_calib.fx, got_calib.fy, got_calib.cx, got_calib.cy) == \
+        (calib.fx, calib.fy, calib.cx, calib.cy)
+    np.testing.assert_array_equal(got_calib.rotation, calib.rotation)
+    np.testing.assert_array_equal(got_calib.translation, calib.translation)
     for orig, got in zip(frames, back.frames):
         np.testing.assert_array_equal(orig.points, got.points)
-        np.testing.assert_array_equal(orig.labels, got.labels)
         np.testing.assert_array_equal(orig.raster, got.raster)
         for po, pg in zip(orig.persons, got.persons):
             np.testing.assert_array_equal(po.keypoints_2d, pg.keypoints_2d)
@@ -478,7 +484,6 @@ def test_sequence_round_trip_is_exact(tmp_path):
             assert (po.det2d is None) == (pg.det2d is None)
             if po.det2d:
                 assert po.det2d.box == pg.det2d.box
-                assert po.det2d.score == pg.det2d.score
             if po.det3d:
                 assert po.det3d.center == pg.det3d.center
                 assert po.det3d.size == pg.det3d.size
@@ -488,10 +493,10 @@ def test_every_truncated_sequence_file_raises(tmp_path):
     from fusionpose.association import Detection2D, Detection3D
     from fusionpose.synthdata.seqfile import FrameRecord, PersonFrame, SequenceData
     rng = np.random.default_rng(14)
-    frames = [FrameRecord(rng.normal(size=(3, 3)), np.zeros(3, dtype=int),
+    frames = [FrameRecord(rng.normal(size=(3, 3)),
                           rng.random((2, 2, 3)).astype(np.float32),
                           [PersonFrame(rng.random((21, 2)), np.ones(21, dtype=bool),
-                                       Detection2D((1.0, 1.0, 5.0, 7.0), 0.9),
+                                       Detection2D((1.0, 1.0, 5.0, 7.0)),
                                        Detection3D((6.0, 0.0, 1.0), (1.0, 1.0, 2.0), 0.1),
                                        rng.random((21, 3)))])
               for _ in range(2)]

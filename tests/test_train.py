@@ -127,6 +127,25 @@ def test_epoch_batches_are_shuffled_track_segments(tiny):
     assert not all(in_order)  # and the segments are shuffled
 
 
+def test_epoch_loss_is_the_window_weighted_mean(tiny, monkeypatch):
+    cfg, data = tiny
+    model, store = build_model(cfg.model_config(), 5)
+    trainer = Trainer(cfg, data, model, store)
+    one, three = data.samples[:1], overlapping_batch(data, 3)
+    monkeypatch.setattr(trainer, "epoch_batches", lambda epoch: [one, three])
+    step, seen = trainer._step, []
+
+    def recording_step(batch, *args):
+        seen.append(step(batch, *args))
+        return seen[-1]
+
+    monkeypatch.setattr(trainer, "_step", recording_step)
+    row = trainer.run_epoch(0)
+    assert len(seen) == 2
+    for name in (*LOSS_NAMES, "total"):
+        assert row[name] == (seen[0][name] * 1 + seen[1][name] * 3) / 4
+
+
 def test_window_stride_4_trains(tiny):
     _, data = tiny
     cfg = parse_config_text(TINY_CFG + "train.window_stride = 4\n")
