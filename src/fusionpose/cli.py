@@ -79,15 +79,11 @@ def cmd_train(args) -> int:
                          ("motion", "consistency", "proj", "cd_agu", "total"))
         print(f"epoch={row['epoch']} step={row['step']} {parts}")
 
-    if cfg.overfit_steps > 0:
-        trainer.overfit(cfg.overfit_steps, progress=progress)
-    else:
-        trainer.train(checkpoint_dir=ckpt_dir, resume=not args.no_resume,
-                      progress=progress)
+    trainer.train(checkpoint_dir=ckpt_dir, resume=not args.no_resume,
+                  progress=progress)
     write_loss_log(trainer.log_rows, log_path, resumed_at=trainer.start_epoch)
     print(f"loss log: {log_path}")
-    if cfg.overfit_steps == 0:
-        print(f"checkpoints: {ckpt_dir}")
+    print(f"checkpoints: {ckpt_dir}")
     return 0
 
 

@@ -8,18 +8,15 @@ config file's directory.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
 from .losses import LossWeights
-from .model import FUSION_VARIANTS, ModelConfig
+from .model import ModelConfig
 from .synthdata.generate import SceneConfig, default_calibration, default_scene
-from .synthdata.sensors import DetectionJitter, LidarConfig
 
-_ALLOWED_POINTS = (32, 64, 128, 256)
 _MAX_PERSONS = 1000
 _MAX_FRAMES = 1_000_000
 
@@ -47,12 +44,8 @@ class RunConfig:
     bone_samples: int = 3
     # optimizer / training
     step_size: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
     epochs: int = 30
     batch_size: int = 8
-    overfit_steps: int = 0
-    warm_start_epochs: int = 0
     window_stride: int = 1
     # association
     iou_threshold: float = 0.3
@@ -61,23 +54,9 @@ class RunConfig:
     # scene generation
     scene_persons: int = 3
     scene_frames: int = 200
-    frame_rate_hz: float = 10.0
     raster_h: int = 96
     raster_w: int = 96
-    kp_noise_sigma_px: float = 1.0
-    joint_drop_prob: float = 0.03
     val_fraction: float = 0.3
-    # lidar
-    lidar_beams: int = 32
-    lidar_azimuth_step_deg: float = 0.4
-    lidar_vertical_fov_deg: float = 30.0
-    lidar_azimuth_fov_deg: float = 90.0
-    lidar_range_sigma_m: float = 0.01
-    lidar_max_range_m: float = 60.0
-    lidar_drop_prob: float = 0.02
-    # detection jitter
-    jitter_center_sigma_m: float = 0.03
-    jitter_box2d_sigma_px: float = 1.0
     # ablation switches
     occlusion_fraction: float = 0.6
     point_budgets: tuple[int, ...] = (256, 128, 64, 32)
@@ -87,27 +66,19 @@ class RunConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        # Generation loops over persons and frames: bound both, and the
-        # scene's duration (frames / rate) must be finite and non-zero.
+        # Generation loops over persons and frames: bound both.
         if not 1 <= self.scene_persons <= _MAX_PERSONS:
             raise ConfigError(f"scene.persons must be in [1, {_MAX_PERSONS}]")
         if not 4 <= self.scene_frames <= _MAX_FRAMES:
             raise ConfigError(f"scene.frames must be in [4, {_MAX_FRAMES}]")
-        if not (0 < self.frame_rate_hz < math.inf
-                and math.isfinite(self.scene_frames / self.frame_rate_hz)):
-            raise ConfigError("scene.frame_rate_hz must be finite and > 0, "
-                              "with a finite scene duration")
         for name in ("raster_h", "raster_w"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"scene.{name} must be >= 1")
+        if not 0.0 < self.val_fraction < 1.0:  # also rejects nan
+            raise ConfigError("scene.val_fraction must be finite and in (0, 1)")
         if self.batch_size < 1:
             raise ConfigError("optim.batch_size must be >= 1")
-        if self.n_points not in _ALLOWED_POINTS:
-            raise ConfigError(f"model.n_points must be one of {_ALLOWED_POINTS}")
-        if self.window < 2:
-            raise ConfigError("model.window must be >= 2")
-        if self.fusion not in FUSION_VARIANTS:
-            raise ConfigError(f"model.fusion must be one of {FUSION_VARIANTS}")
+        self.model_config()  # raises on any model.* key that cannot run
         if self.window_stride < 1:
             raise ConfigError("train.window_stride must be >= 1")
         if self.bone_samples < 0:
@@ -140,28 +111,15 @@ class RunConfig:
         return LossWeights(**values)
 
     def scene_config(self) -> SceneConfig:
-        lidar = LidarConfig(
-            beams=self.lidar_beams,
-            azimuth_step_deg=self.lidar_azimuth_step_deg,
-            vertical_fov_deg=self.lidar_vertical_fov_deg,
-            azimuth_fov_deg=self.lidar_azimuth_fov_deg,
-            range_sigma_m=self.lidar_range_sigma_m,
-            max_range_m=self.lidar_max_range_m,
-            drop_prob=self.lidar_drop_prob,
-        )
-        jitter = DetectionJitter(self.jitter_center_sigma_m, self.jitter_box2d_sigma_px)
+        """The scene at this config's size; the sensors and noise are
+        ``SceneConfig``'s defaults."""
         return default_scene(
             n_persons=self.scene_persons,
             frames=self.scene_frames,
             seed=self.seed,
-            frame_rate_hz=self.frame_rate_hz,
             raster_h=self.raster_h,
             raster_w=self.raster_w,
             calibration=default_calibration(self.raster_w, self.raster_h),
-            lidar=lidar,
-            jitter=jitter,
-            kp_noise_sigma_px=self.kp_noise_sigma_px,
-            joint_drop_prob=self.joint_drop_prob,
             val_fraction=self.val_fraction,
         )
 
@@ -184,33 +142,17 @@ _KEY_MAP = {
     "loss.lambda_cd_agu": "lambda_cd_agu",
     "loss.bone_samples": "bone_samples",
     "optim.step_size": "step_size",
-    "optim.beta1": "beta1",
-    "optim.beta2": "beta2",
     "optim.epochs": "epochs",
     "optim.batch_size": "batch_size",
-    "optim.overfit_steps": "overfit_steps",
-    "optim.warm_start_epochs": "warm_start_epochs",
     "train.window_stride": "window_stride",
     "assoc.iou_threshold": "iou_threshold",
     "assoc.gate_distance": "gate_distance",
     "assoc.max_misses": "max_misses",
     "scene.persons": "scene_persons",
     "scene.frames": "scene_frames",
-    "scene.frame_rate_hz": "frame_rate_hz",
     "scene.raster_h": "raster_h",
     "scene.raster_w": "raster_w",
-    "scene.kp_noise_sigma_px": "kp_noise_sigma_px",
-    "scene.joint_drop_prob": "joint_drop_prob",
     "scene.val_fraction": "val_fraction",
-    "lidar.beams": "lidar_beams",
-    "lidar.azimuth_step_deg": "lidar_azimuth_step_deg",
-    "lidar.vertical_fov_deg": "lidar_vertical_fov_deg",
-    "lidar.azimuth_fov_deg": "lidar_azimuth_fov_deg",
-    "lidar.range_sigma_m": "lidar_range_sigma_m",
-    "lidar.max_range_m": "lidar_max_range_m",
-    "lidar.drop_prob": "lidar_drop_prob",
-    "jitter.center_sigma_m": "jitter_center_sigma_m",
-    "jitter.box2d_sigma_px": "jitter_box2d_sigma_px",
     "ablate.occlusion_fraction": "occlusion_fraction",
     "ablate.point_budgets": "point_budgets",
     "eval.squared_cd": "squared_cd",

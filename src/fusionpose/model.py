@@ -36,14 +36,21 @@ class ModelConfig:
     fusion: str = "ipa"
 
     def __post_init__(self):
-        if self.image_hw % 8 != 0:
-            raise ConfigError(f"image size {self.image_hw} must be divisible by 8")
-        if self.width % 4 != 0:
-            raise ConfigError(f"feature width {self.width} must be divisible by 4")
+        if self.n_points < 1:
+            raise ConfigError(f"model.n_points must be >= 1, got {self.n_points}")
+        if self.image_hw < 8 or self.image_hw % 8 != 0:
+            raise ConfigError(f"model.image_hw must be a positive multiple of 8, "
+                              f"got {self.image_hw}")
+        if self.width < 4 or self.width % 4 != 0:
+            raise ConfigError(f"model.width must be a positive multiple of 4, got {self.width}")
+        for name in ("joint_feat_dim", "head_hidden"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"model.{name} must be >= 1, got {getattr(self, name)}")
         if self.fusion not in FUSION_VARIANTS:
-            raise ConfigError(f"unknown fusion variant {self.fusion!r}")
+            raise ConfigError(f"model.fusion must be one of {FUSION_VARIANTS}, "
+                              f"got {self.fusion!r}")
         if self.window < 2:
-            raise ConfigError("temporal window must be >= 2")
+            raise ConfigError(f"model.window must be >= 2, got {self.window}")
 
     @property
     def n_joints(self) -> int:

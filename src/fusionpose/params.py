@@ -184,16 +184,13 @@ class Adam:
                 store.state[f"__opt__.m.{path}"] = np.zeros_like(tensor.data)
                 store.state[f"__opt__.v.{path}"] = np.zeros_like(tensor.data)
 
-    def step(self, grads: dict[str, np.ndarray],
-             freeze_prefixes: tuple[str, ...] = ()) -> None:
+    def step(self, grads: dict[str, np.ndarray]) -> None:
         state = self.store.state
         state["__opt__.t"] = state["__opt__.t"] + 1.0
         t = float(state["__opt__.t"])
         corr1 = 1.0 - self.beta1 ** t
         corr2 = 1.0 - self.beta2 ** t
         for path, tensor in self.store.items():
-            if any(path.startswith(p) for p in freeze_prefixes):
-                continue
             g = grads[path]
             m = state[f"__opt__.m.{path}"]
             v = state[f"__opt__.v.{path}"]

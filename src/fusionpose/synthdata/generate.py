@@ -71,7 +71,7 @@ def default_scene(n_persons: int = 3, frames: int = 200, seed: int = 42,
     alternating direction, with seeded body scale, gait frequency and
     phase.
     """
-    duration = frames / overrides.get("frame_rate_hz", 10.0)
+    duration = frames / overrides.get("frame_rate_hz", SceneConfig.frame_rate_hz)
     persons = []
     for i in range(n_persons):
         rng = np.random.Generator(np.random.PCG64(child_seed(seed, 9000 + i)))

@@ -211,7 +211,7 @@ class Trainer:
         self.model = model
         self.store = store
         self.weights = run_cfg.loss_weights(loss_overrides)
-        self.optimizer = Adam(store, run_cfg.step_size, run_cfg.beta1, run_cfg.beta2)
+        self.optimizer = Adam(store, run_cfg.step_size)
         stride = run_cfg.window_stride
         self.train_samples = [s for s in dataset.samples
                               if s.start_frame % stride == 0]
@@ -221,11 +221,10 @@ class Trainer:
         self.start_epoch = 0  # first epoch of the last ``train`` call
         self.log_rows: list[dict] = []
 
-    def _step(self, batch: list[InstanceSample], weights: LossWeights,
-              freeze_prefixes: tuple[str, ...] = ()) -> dict[str, float]:
+    def _step(self, batch: list[InstanceSample]) -> dict[str, float]:
         """One optimizer step on ``batch``; returns its mean loss terms."""
         grads, means = batch_gradients(self.model, self.store, self.dataset,
-                                       batch, weights, self.cfg.bone_samples)
+                                       batch, self.weights, self.cfg.bone_samples)
         if not np.isfinite(means["total"]):
             raise TrainingAborted(
                 f"non-finite loss at step {self.state.step}; "
@@ -236,7 +235,7 @@ class Trainer:
             raise TrainingAborted(
                 f"non-finite gradient of {bad} at step {self.state.step}; "
                 "last checkpoint kept")
-        self.optimizer.step(grads, freeze_prefixes)
+        self.optimizer.step(grads)
         self.state.step += 1
         return means
 
@@ -260,13 +259,10 @@ class Trainer:
             batches += [run[a:b] for a, b in zip(cuts, cuts[1:])]
         return [batches[i] for i in rng.permutation(len(batches))]
 
-    def run_epoch(self, epoch: int, freeze_prefixes: tuple[str, ...] = (),
-                  weights: LossWeights | None = None) -> dict[str, float]:
+    def run_epoch(self, epoch: int) -> dict[str, float]:
         """Train one epoch; returns its loss terms, each the mean over windows."""
-        weights = weights or self.weights
         batches = self.epoch_batches(epoch)
-        batch_means = [self._step(batch, weights, freeze_prefixes)
-                       for batch in batches]
+        batch_means = [self._step(batch) for batch in batches]
         n_windows = sum(len(batch) for batch in batches)
         return {name: sum(means[name] * len(batch)
                           for means, batch in zip(batch_means, batches)) / n_windows
@@ -288,24 +284,14 @@ class Trainer:
                     raise CheckpointMismatchError(
                         f"{last}: checkpoint seed {self.state.seed} does not "
                         f"match configured seed {self.cfg.seed}")
-                self.optimizer = Adam(self.store, self.cfg.step_size,
-                                      self.cfg.beta1, self.cfg.beta2)
+                self.optimizer = Adam(self.store, self.cfg.step_size)
                 start_epoch = self.state.epoch
                 log.info("resumed from %s at epoch %d", last, start_epoch)
         self.start_epoch = start_epoch
 
         with GT_GUARD.forbid():
-            warm = self.cfg.warm_start_epochs
             for epoch in range(start_epoch, epochs):
-                if epoch < warm:
-                    # Point-branch warm start: geometry-only objective,
-                    # image/fusion parameters frozen.
-                    means = self.run_epoch(
-                        epoch, freeze_prefixes=("image.", "fuse"),
-                        weights=LossWeights(0.0, 0.0, 0.0,
-                                            max(self.weights.cd_agu, 0.5)))
-                else:
-                    means = self.run_epoch(epoch)
+                means = self.run_epoch(epoch)
                 self.state.epoch = epoch + 1
                 row = {"epoch": epoch, "step": self.state.step, **means}
                 self.log_rows.append(row)
@@ -316,18 +302,12 @@ class Trainer:
                                     self.model.cfg, self.state)
         return self.log_rows
 
-    def overfit(self, steps: int, progress=None) -> list[dict]:
+    def overfit(self, steps: int) -> list[dict]:
         """Single fixed batch, repeated; the standard optimization smoke test."""
         batch = self.train_samples[: self.cfg.batch_size]
-        rows = []
         with GT_GUARD.forbid():
-            for step in range(steps):
-                row = {"epoch": 0, "step": step, **self._step(batch, self.weights)}
-                rows.append(row)
-                if progress and (step % 50 == 0 or step == steps - 1):
-                    progress(row)
-        self.log_rows = rows
-        return rows
+            return [{"epoch": 0, "step": step, **self._step(batch)}
+                    for step in range(steps)]
 
 
 def write_loss_log(rows: list[dict], path: str | Path, resumed_at: int = 0) -> None:

@@ -326,25 +326,6 @@ def test_version_1_sequence_file_exits_2(workdir, tmp_path, capsys):
     assert "unsupported version 1" in err and "regenerate" in err
 
 
-def test_warm_start_freezes_image_and_fusion_branches(workdir):
-    cfg = load_config(cfg_path(workdir))
-    cfg.warm_start_epochs = 1
-    data = InstanceDataset(load_split(cfg.path("dataset_dir"), "train"),
-                           cfg.model_config())
-    store = ParameterStore(seed=6)
-    model = FusionPoseModel(cfg.model_config(), store)
-    before = {p: t.data.copy() for p, t in store.items()}
-    trainer = Trainer(cfg, data, model, store)
-    trainer.train(checkpoint_dir=None, epochs=1)
-    image_paths = [p for p in store.paths()
-                   if p.startswith(("image.", "fuse"))]
-    point_paths = [p for p in store.paths() if p.startswith("point.")]
-    assert image_paths and point_paths
-    for p in image_paths:
-        np.testing.assert_array_equal(store[p].data, before[p])
-    assert any(np.abs(store[p].data - before[p]).max() > 0 for p in point_paths)
-
-
 def test_zero_weights_leave_parameters_unchanged(workdir):
     cfg = load_config(cfg_path(workdir))
     data = InstanceDataset(load_split(cfg.path("dataset_dir"), "train"),
@@ -471,7 +452,7 @@ def test_checkpoint_with_a_stale_n_points_entry_loads(workdir, tmp_path):
 
 def test_bad_config_exits_2(tmp_path, capsys):
     cfgfile = tmp_path / "bad.cfg"
-    cfgfile.write_text("model.n_points = 100\n")
+    cfgfile.write_text("model.n_points = 0\n")
     assert main(["eval", "--config", str(cfgfile)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("fusionpose: error:")
@@ -490,9 +471,12 @@ def test_unknown_study_exits_2(workdir):
 
 @pytest.mark.parametrize("line, key", [
     ("seed = -1", "seed"),
-    ("scene.frame_rate_hz = 0", "scene.frame_rate_hz"),
     ("scene.raster_h = 0", "scene.raster_h"),
     ("scene.raster_w = 0", "scene.raster_w"),
+    ("scene.val_fraction = nan", "scene.val_fraction"),
+    ("scene.val_fraction = 1.5", "scene.val_fraction"),
+    ("model.image_hw = 30", "model.image_hw"),
+    ("model.width = 30", "model.width"),
     ("model.joints = 21", "model.joints"),
     ("ablate.point_budgets = 256,-1", "ablate.point_budgets"),
     ("ablate.occlusion_fraction = nan", "ablate.occlusion_fraction"),
@@ -505,6 +489,40 @@ def test_config_values_that_cannot_run_exit_2(tmp_path, capsys, line, key):
         assert main([*command, "--config", str(cfgfile)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("fusionpose: error:") and key in err
+    assert not (tmp_path / "data").exists()
+
+
+# Keys that once set the fixed sensor rig, the noise, the Adam betas and
+# the overfit / warm-start modes, each at its former default value.
+_REMOVED_KEYS = {
+    "scene.frame_rate_hz": "10.0",
+    "scene.kp_noise_sigma_px": "1.0",
+    "scene.joint_drop_prob": "0.03",
+    "lidar.beams": "32",
+    "lidar.azimuth_step_deg": "0.4",
+    "lidar.vertical_fov_deg": "30.0",
+    "lidar.azimuth_fov_deg": "90.0",
+    "lidar.range_sigma_m": "0.01",
+    "lidar.max_range_m": "60.0",
+    "lidar.drop_prob": "0.02",
+    "jitter.center_sigma_m": "0.03",
+    "jitter.box2d_sigma_px": "1.0",
+    "optim.beta1": "0.9",
+    "optim.beta2": "0.999",
+    "optim.overfit_steps": "0",
+    "optim.warm_start_epochs": "0",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_REMOVED_KEYS))
+def test_removed_keys_exit_2(tmp_path, capsys, key):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(TINY_CFG + f"{key} = {_REMOVED_KEYS[key]}\n")
+    for command in (["generate"], ["train"], ["eval"], ["export-poses"],
+                    ["ablate", "--study", "density"]):
+        assert main([*command, "--config", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fusionpose: error:") and f"unknown key {key!r}" in err
     assert not (tmp_path / "data").exists()
 
 

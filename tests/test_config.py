@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,7 +52,13 @@ def test_missing_equals_sign():
 
 
 @pytest.mark.parametrize("line", [
-    "model.n_points = 100",   # not in {32, 64, 128, 256}
+    "model.n_points = 0",
+    "model.image_hw = 30",
+    "model.image_hw = 0",
+    "model.width = 30",
+    "model.width = 0",
+    "model.joint_feat_dim = 0",
+    "model.head_hidden = 0",
     "optim.batch_size = 0",
     "model.window = 1",
     "model.joints = 19",
@@ -60,12 +68,15 @@ def test_missing_equals_sign():
     "scene.persons = 0",
     "scene.persons = 100000",
     "scene.frames = 3",
-    "scene.frame_rate_hz = 0",
+    "scene.frame_rate_hz = 0",  # a removed key: rejected as unknown
     "scene.frame_rate_hz = nan",
     "scene.frame_rate_hz = inf",
-    "scene.frame_rate_hz = 1e-320",  # 200 frames would last forever
+    "scene.frame_rate_hz = 1e-320",
     "scene.raster_h = 0",
     "scene.raster_w = -4",
+    "scene.val_fraction = nan",
+    "scene.val_fraction = 1.5",
+    "scene.val_fraction = 0",
     "ablate.point_budgets = -5",
     "ablate.point_budgets = 256,-1",
     "ablate.point_budgets = 0",
@@ -78,6 +89,10 @@ def test_missing_equals_sign():
 def test_invariant_violations(line):
     with pytest.raises(ConfigError):
         parse_config_text(line)
+
+
+def test_every_key_sets_a_field_and_every_field_has_a_key():
+    assert set(_KEY_MAP.values()) == {f.name for f in fields(RunConfig)} - {"base_dir"}
 
 
 def test_env_seed_override(tmp_path, monkeypatch):

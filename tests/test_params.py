@@ -179,16 +179,3 @@ def test_adam_deterministic_and_descends():
     assert losses1 == losses2
     np.testing.assert_array_equal(w1, w2)
     assert losses1[-1] < 0.05 * losses1[0]
-
-
-def test_adam_freeze_prefixes():
-    store = ParameterStore(seed=6)
-    frozen = store.weight("image.w", (2, 2))
-    live = store.weight("point.w", (2, 2))
-    before_frozen = frozen.data.copy()
-    before_live = live.data.copy()
-    opt = Adam(store, step_size=0.1)
-    grads = {"image.w": np.ones((2, 2)), "point.w": np.ones((2, 2))}
-    opt.step(grads, freeze_prefixes=("image.",))
-    np.testing.assert_array_equal(frozen.data, before_frozen)
-    assert np.abs(live.data - before_live).max() > 0.0
