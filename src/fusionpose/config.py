@@ -8,6 +8,7 @@ config file's directory.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -19,6 +20,7 @@ from .synthdata.generate import SceneConfig, default_calibration, default_scene
 
 _MAX_PERSONS = 1000
 _MAX_FRAMES = 1_000_000
+_MIN_FRAMES = 8  # generate_dataset clamps each split to at least 4 frames
 
 
 @dataclass
@@ -69,8 +71,8 @@ class RunConfig:
         # Generation loops over persons and frames: bound both.
         if not 1 <= self.scene_persons <= _MAX_PERSONS:
             raise ConfigError(f"scene.persons must be in [1, {_MAX_PERSONS}]")
-        if not 4 <= self.scene_frames <= _MAX_FRAMES:
-            raise ConfigError(f"scene.frames must be in [4, {_MAX_FRAMES}]")
+        if not _MIN_FRAMES <= self.scene_frames <= _MAX_FRAMES:
+            raise ConfigError(f"scene.frames must be in [{_MIN_FRAMES}, {_MAX_FRAMES}]")
         for name in ("raster_h", "raster_w"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"scene.{name} must be >= 1")
@@ -83,6 +85,19 @@ class RunConfig:
             raise ConfigError("train.window_stride must be >= 1")
         if self.bone_samples < 0:
             raise ConfigError("loss.bone_samples must be >= 0")
+        for name in ("lambda_motion", "lambda_consistency", "lambda_proj", "lambda_cd_agu"):
+            if not 0.0 <= getattr(self, name) < math.inf:  # also rejects nan
+                raise ConfigError(f"loss.{name} must be finite and >= 0")
+        if not 0.0 < self.step_size < math.inf:
+            raise ConfigError("optim.step_size must be finite and > 0")
+        if self.epochs < 1:
+            raise ConfigError("optim.epochs must be >= 1")
+        if not 0.0 <= self.iou_threshold <= 1.0:
+            raise ConfigError("assoc.iou_threshold must be in [0, 1]")
+        if not 0.0 < self.gate_distance < math.inf:
+            raise ConfigError("assoc.gate_distance must be finite and > 0")
+        if self.max_misses < 0:
+            raise ConfigError("assoc.max_misses must be >= 0")
         if not 0.0 <= self.occlusion_fraction < 1.0:  # also rejects nan
             raise ConfigError("ablate.occlusion_fraction must be finite and in [0, 1)")
         if any(budget < 1 for budget in self.point_budgets):

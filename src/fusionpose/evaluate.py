@@ -18,7 +18,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .dataio import InstanceDataset, InstanceSample
-from .geometry import SkeletonSpec, default_skeleton
+from .geometry import ROOT_INDEX
 # pck and mpjpe stay importable from here: they score single poses.
 from .metrics import (PCK_THRESHOLD_MM, MetricAccumulator, MetricReport,  # noqa: F401
                       mpjpe, pck)
@@ -26,12 +26,11 @@ from .model import FusionPoseModel
 from .synthdata.body import rest_pose
 
 
-def baseline_pose(box_center: np.ndarray, spec: SkeletonSpec | None = None) -> np.ndarray:
+def baseline_pose(box_center: np.ndarray) -> np.ndarray:
     """Static comparator: the unit-scale rest pose with its root placed
     at the 3D crop-box center."""
-    spec = spec or default_skeleton()
-    rest = rest_pose(spec)
-    return rest - rest[spec.root_index] + np.asarray(box_center)
+    rest = rest_pose()
+    return rest - rest[ROOT_INDEX] + np.asarray(box_center)
 
 
 def _predictions(model: FusionPoseModel | None, dataset: InstanceDataset,
@@ -48,13 +47,12 @@ def _predictions(model: FusionPoseModel | None, dataset: InstanceDataset,
     """
     if mode not in ("model", "baseline", "oracle"):
         raise ValueError(f"unknown eval mode {mode!r}")
-    spec = default_skeleton()
     encoded: dict[int, Tensor] = {}
     for sample in dataset.samples:
         if mode == "oracle":
             yield sample, [fs.gt_pose3d for fs in sample.frames]
         elif mode == "baseline":
-            yield sample, [baseline_pose(fs.box_center, spec) for fs in sample.frames]
+            yield sample, [baseline_pose(fs.box_center) for fs in sample.frames]
         else:
             frames = dataset.model_frames(sample, point_budget, occlusion, seed)
             for fs, frame in zip(sample.frames, frames):
@@ -83,8 +81,7 @@ def evaluate_dataset(model: FusionPoseModel | None, dataset: InstanceDataset,
     pose anchored at the box center; "oracle" scores GT against itself
     (the upper bound / plumbing check).
     """
-    spec = default_skeleton()
-    acc = MetricAccumulator(spec, bone_samples, squared_cd)
+    acc = MetricAccumulator(bone_samples, squared_cd)
     windows: list[WindowScore] = []
     for sample, preds in _predictions(model, dataset, mode, point_budget,
                                       occlusion, seed):

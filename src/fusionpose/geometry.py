@@ -79,36 +79,9 @@ def unproject(pixels: np.ndarray, depths: np.ndarray, calib: Calibration) -> np.
 # skeleton
 
 
-@dataclass(frozen=True)
-class SkeletonSpec:
-    """21-joint body layout: names, directed bone tree, root index."""
-
-    joint_names: tuple[str, ...]
-    bones: tuple[tuple[int, int], ...]
-    root_index: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "joint_names", tuple(self.joint_names))
-        object.__setattr__(self, "bones", tuple((int(p), int(c)) for p, c in self.bones))
-        k = len(self.joint_names)
-        if len(self.bones) != k - 1:
-            raise InvalidInputError(f"expected {k - 1} bones for {k} joints")
-        if not 0 <= self.root_index < k:
-            raise InvalidInputError("root index out of range")
-        seen = {self.root_index}
-        for parent, child in self.bones:
-            if parent not in seen or child in seen:
-                raise InvalidInputError("bones must form a tree rooted at root_index")
-            seen.add(child)
-        if len(seen) != k:
-            raise InvalidInputError("bone tree does not span all joints")
-
-    @property
-    def n_joints(self) -> int:
-        return len(self.joint_names)
-
-
-_JOINT_NAMES = (
+# The one body layout: nose/neck/shoulders/elbows/wrists, mid-hip root,
+# hips/knees/ankles, eyes/ears, foot tips.
+JOINT_NAMES = (
     "nose", "neck",
     "r_shoulder", "r_elbow", "r_wrist",
     "l_shoulder", "l_elbow", "l_wrist",
@@ -118,9 +91,11 @@ _JOINT_NAMES = (
     "r_eye", "l_eye", "r_ear", "l_ear",
     "r_foot_tip", "l_foot_tip",
 )
-N_JOINTS = len(_JOINT_NAMES)
+N_JOINTS = len(JOINT_NAMES)
+ROOT_INDEX = 8  # mid_hip
 
-_BONES = (
+# (parent, child) pairs of the bone tree, parents first.
+BONES = (
     (8, 1), (1, 0),
     (0, 15), (15, 17), (0, 16), (16, 18),
     (1, 2), (2, 3), (3, 4),
@@ -128,12 +103,6 @@ _BONES = (
     (8, 9), (9, 10), (10, 11), (11, 19),
     (8, 12), (12, 13), (13, 14), (14, 20),
 )
-
-
-def default_skeleton() -> SkeletonSpec:
-    """The 21-joint layout used throughout: nose/neck/shoulders/elbows/
-    wrists, mid-hip root, hips/knees/ankles, eyes/ears, foot tips."""
-    return SkeletonSpec(_JOINT_NAMES, _BONES, root_index=8)
 
 
 @dataclass
@@ -196,39 +165,30 @@ def downsample(points: np.ndarray, n: int) -> np.ndarray:
     return points[chosen].copy()
 
 
-_INTERP_CACHE: dict[tuple, np.ndarray] = {}
+_INTERP_CACHE: dict[int, np.ndarray] = {}
 
 
-def interpolation_matrix(spec: SkeletonSpec, samples_per_bone: int) -> np.ndarray:
+def interpolation_matrix(samples_per_bone: int) -> np.ndarray:
     """Constant matrix mapping (k, 3) joints to augmented skeleton points.
 
     Rows are the k joints followed by, per bone in order,
     ``samples_per_bone`` points at parameters j/(s+1) along the segment.
     """
-    key = (spec.bones, spec.n_joints, samples_per_bone)
-    cached = _INTERP_CACHE.get(key)
+    cached = _INTERP_CACHE.get(samples_per_bone)
     if cached is not None:
         return cached
-    k, s = spec.n_joints, samples_per_bone
-    rows = k + len(spec.bones) * s
-    mat = np.zeros((rows, k))
+    k, s = N_JOINTS, samples_per_bone
+    mat = np.zeros((k + len(BONES) * s, k))
     mat[:k, :k] = np.eye(k)
     r = k
-    for parent, child in spec.bones:
+    for parent, child in BONES:
         for j in range(1, s + 1):
             alpha = j / (s + 1.0)
             mat[r, parent] = 1.0 - alpha
             mat[r, child] = alpha
             r += 1
-    _INTERP_CACHE[key] = mat
+    _INTERP_CACHE[samples_per_bone] = mat
     return mat
-
-
-def interpolate_skeleton(pose: Pose3D, spec: SkeletonSpec, samples_per_bone: int) -> np.ndarray:
-    """Joints plus linearly interpolated bone points, ((k + bones*s), 3)."""
-    if samples_per_bone < 0:
-        raise InvalidInputError("samples_per_bone must be >= 0")
-    return interpolation_matrix(spec, samples_per_bone) @ pose.joints
 
 
 def _yaw_matrix(yaw: float) -> np.ndarray:

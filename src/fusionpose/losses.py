@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, InvalidInputError
-from .geometry import Z_MIN, Calibration, SkeletonSpec, interpolation_matrix
+from .geometry import Z_MIN, Calibration, interpolation_matrix
 
 log = logging.getLogger(__name__)
 
@@ -153,15 +153,14 @@ def chamfer(a, b) -> ad.Tensor:
     return ad.record_op(value, [(a, vjp_a), (b, vjp_b)])
 
 
-def chamfer_agu_loss(pred_pose, cloud: np.ndarray, spec: SkeletonSpec,
-                     samples_per_bone: int) -> ad.Tensor:
+def chamfer_agu_loss(pred_pose, cloud: np.ndarray, samples_per_bone: int) -> ad.Tensor:
     """Chamfer between a point cloud and the bone-interpolated skeleton.
 
     Interpolation makes the sparse joint set numerically comparable to a
     dense cloud; with samples_per_bone = 0 this is plain chamfer against
     the joints.
     """
-    augmented = ad.matmul(interpolation_matrix(spec, samples_per_bone), pred_pose)
+    augmented = ad.matmul(interpolation_matrix(samples_per_bone), pred_pose)
     return chamfer(cloud, augmented)
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, InvalidInputError
-from .geometry import Pose3D, SkeletonSpec, interpolation_matrix
+from .geometry import JOINT_NAMES, ROOT_INDEX, Pose3D, interpolation_matrix
 
 PCK_THRESHOLD_MM = 150.0
 
@@ -27,29 +27,29 @@ def _check_pair(pred: np.ndarray, gt: np.ndarray) -> None:
         raise ContractError(f"pose shapes differ: {pred.shape} vs {gt.shape}")
 
 
-def joint_errors_mm(pred: np.ndarray, gt: np.ndarray, root_index: int) -> np.ndarray:
+def joint_errors_mm(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
     """Per-joint Euclidean error in millimeters after root alignment."""
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
     _check_pair(pred, gt)
-    rel_pred = pred - pred[root_index]
-    rel_gt = gt - gt[root_index]
+    rel_pred = pred - pred[ROOT_INDEX]
+    rel_gt = gt - gt[ROOT_INDEX]
     return np.linalg.norm(rel_pred - rel_gt, axis=1) * 1000.0
 
 
-def pck(pred, gt, root_index: int, threshold_mm: float = PCK_THRESHOLD_MM) -> float:
+def pck(pred, gt, threshold_mm: float = PCK_THRESHOLD_MM) -> float:
     """Percentage of joints with root-aligned error under the threshold."""
-    err = joint_errors_mm(pred, gt, root_index)
+    err = joint_errors_mm(pred, gt)
     return 100.0 * float((err < threshold_mm).mean())
 
 
-def mpjpe(pred, gt, root_index: int) -> float:
+def mpjpe(pred, gt) -> float:
     """Mean per-joint position error (root-relative), millimeters."""
-    return float(joint_errors_mm(pred, gt, root_index).mean())
+    return float(joint_errors_mm(pred, gt).mean())
 
 
-def cd_metric(pose: np.ndarray, cloud: np.ndarray, spec: SkeletonSpec,
-              samples_per_bone: int = 3, squared: bool = False) -> float:
+def cd_metric(pose: np.ndarray, cloud: np.ndarray, samples_per_bone: int = 3,
+              squared: bool = False) -> float:
     """Cloud-to-skeleton Chamfer metric in millimeters.
 
     Symmetric mean: the average of the two directional mean
@@ -59,7 +59,7 @@ def cd_metric(pose: np.ndarray, cloud: np.ndarray, spec: SkeletonSpec,
     cloud = np.asarray(cloud, dtype=np.float64)
     if cloud.ndim != 2 or cloud.shape[0] == 0:
         raise InvalidInputError("cd_metric needs a non-empty cloud")
-    aug = interpolation_matrix(spec, samples_per_bone) @ np.asarray(pose, dtype=np.float64)
+    aug = interpolation_matrix(samples_per_bone) @ np.asarray(pose, dtype=np.float64)
     d2 = ((cloud[:, None, :] - aug[None, :, :]) ** 2).sum(axis=2)
     fwd = d2.min(axis=1)
     bwd = d2.min(axis=0)
@@ -97,7 +97,6 @@ class MetricReport:
 class MetricAccumulator:
     """Streaming accumulation of metrics over evaluated poses."""
 
-    spec: SkeletonSpec
     samples_per_bone: int = 3
     squared_cd: bool = False
     _errors: list[np.ndarray] = field(default_factory=list)
@@ -107,11 +106,10 @@ class MetricAccumulator:
         """Accumulate one pose; returns its root-aligned joint errors (mm)."""
         pred = pred.joints if isinstance(pred, Pose3D) else np.asarray(pred)
         gt = gt.joints if isinstance(gt, Pose3D) else np.asarray(gt)
-        err = joint_errors_mm(pred, gt, self.spec.root_index)
+        err = joint_errors_mm(pred, gt)
         self._errors.append(err)
         if cloud is not None and len(cloud):
-            self._cds.append(cd_metric(pred, cloud, self.spec,
-                                       self.samples_per_bone, self.squared_cd))
+            self._cds.append(cd_metric(pred, cloud, self.samples_per_bone, self.squared_cd))
         return err
 
     @property
@@ -129,7 +127,7 @@ class MetricAccumulator:
             mpjpe_mm=float(err.mean()),
             cd_mm=float(np.mean(self._cds)) if self._cds else float("nan"),
             n_samples=len(self._errors),
-            joint_names=self.spec.joint_names,
+            joint_names=JOINT_NAMES,
             per_joint_pck=tuple(float(v) for v in 100.0 * correct.mean(axis=0)),
             per_joint_mpjpe_mm=tuple(float(v) for v in err.mean(axis=0)),
         )

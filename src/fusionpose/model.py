@@ -53,10 +53,6 @@ class ModelConfig:
             raise ConfigError(f"model.window must be >= 2, got {self.window}")
 
     @property
-    def n_joints(self) -> int:
-        return N_JOINTS
-
-    @property
     def n_tokens(self) -> int:
         return (self.image_hw // 8) ** 2
 
@@ -232,7 +228,7 @@ class TemporalEstimator:
                 else:
                     params[gate] = store.zeros(f"{path}.gru.{direction}.{gate}", (hh,))
             self.gru[direction] = params
-        k, c, hd = cfg.n_joints, cfg.joint_feat_dim, cfg.head_hidden
+        k, c, hd = N_JOINTS, cfg.joint_feat_dim, cfg.head_hidden
         self.motion0 = Linear(store, f"{path}.motion0", w, hd)
         self.motion1 = Linear(store, f"{path}.motion1", hd, k * 2)
         self.position0 = Linear(store, f"{path}.position0", w, hd)
@@ -254,7 +250,7 @@ class TemporalEstimator:
         return states
 
     def __call__(self, pooled, box_centers) -> list[FrameOutput]:
-        k, c = self.cfg.n_joints, self.cfg.joint_feat_dim
+        k, c = N_JOINTS, self.cfg.joint_feat_dim
         fwd = self._run_gru(pooled, "fwd")
         bwd = self._run_gru(pooled[::-1], "bwd")[::-1]
         outputs = []

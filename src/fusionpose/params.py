@@ -11,6 +11,7 @@ mid-write never leaves a truncated checkpoint under its real name.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -138,7 +139,7 @@ class ParameterStore:
                 raise CheckpointMismatchError(f"{path}: bad parameter name") from exc
             (rank,) = struct.unpack_from("<B", blob, take(1))
             dims = struct.unpack_from(f"<{rank}I", blob, take(4 * rank))
-            n = int(np.prod(dims)) if rank else 1
+            n = math.prod(dims)  # a Python int: huge dims cannot wrap around
             arr = np.frombuffer(blob, dtype="<f8", count=n, offset=take(8 * n)).copy()
             entries[name] = arr.reshape(dims)
         return entries
@@ -160,7 +161,10 @@ class ParameterStore:
                 raise CheckpointMismatchError(
                     f"{path}: {key} has shape {arr.shape}, expected {t.data.shape}"
                 )
-            t.data = arr
+            if not np.isfinite(arr).all():
+                raise CheckpointMismatchError(f"{path}: {key} holds non-finite values")
+        for key, arr in own.items():
+            self._params[key].data = arr
         return extra
 
 

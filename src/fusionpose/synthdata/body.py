@@ -10,12 +10,12 @@ up to the root translation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import InvalidInputError
-from ..geometry import Pose3D, SkeletonSpec, default_skeleton
+from ..geometry import BONES, JOINT_NAMES, N_JOINTS, ROOT_INDEX, Pose3D
 
 # Person-local rest joint offsets relative to the mid-hip root.
 # Axes: x = person's left, y = forward, z = up. Meters at scale 1.
@@ -45,7 +45,7 @@ _REST_LOCAL = {
 
 ROOT_HEIGHT = 0.90  # rest height of the mid-hip above ground, meters
 
-# Capsule radius per bone, indexed like SkeletonSpec.bones.
+# Capsule radius per bone, by (parent, child) joint name.
 _BONE_RADII = {
     ("mid_hip", "neck"): 0.11,
     ("neck", "nose"): 0.07,
@@ -62,29 +62,24 @@ _BONE_RADII = {
 }
 
 
-def rest_pose(spec: SkeletonSpec | None = None, scale: float = 1.0) -> np.ndarray:
+_REST = np.array([_REST_LOCAL[name] for name in JOINT_NAMES])
+
+# Capsule radii at unit scale, indexed like geometry.BONES.
+BONE_RADII = np.array([_BONE_RADII[(JOINT_NAMES[p], JOINT_NAMES[c])] for p, c in BONES])
+
+
+def rest_pose(scale: float = 1.0) -> np.ndarray:
     """Neutral standing pose, (k, 3), mid-hip at the origin."""
-    spec = spec or default_skeleton()
-    return scale * np.array([_REST_LOCAL[name] for name in spec.joint_names])
-
-
-def default_bone_radii(spec: SkeletonSpec | None = None) -> np.ndarray:
-    spec = spec or default_skeleton()
-    names = spec.joint_names
-    return np.array([_BONE_RADII[(names[p], names[c])] for p, c in spec.bones])
+    return scale * _REST
 
 
 @dataclass(frozen=True)
 class BodyModel:
-    """Per-bone capsule radii plus a global limb-length scale factor."""
+    """A global limb-length and capsule-radius scale factor."""
 
-    bone_radii: np.ndarray = field(default_factory=default_bone_radii)
     scale: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "bone_radii", np.asarray(self.bone_radii, dtype=np.float64))
-        if (self.bone_radii <= 0).any():
-            raise InvalidInputError("capsule radii must be positive")
         if not 0.8 <= self.scale <= 1.2:
             raise InvalidInputError(f"body scale {self.scale} outside [0.8, 1.2]")
 
@@ -105,18 +100,13 @@ class MotionScript:
 
     ``waypoints`` are (time_s, x, y) with strictly increasing times; the
     root travels linearly between them at the body's hip height, heading
-    along the current segment. Alternatively ``scripted_poses`` replaces
-    the gait with an explicit (frames, k, 3) pose sequence sampled at
-    ``scripted_rate_hz`` (held per frame, not interpolated, so bone
-    lengths stay exact).
+    along the current segment.
     """
 
     waypoints: tuple[tuple[float, float, float], ...]
     gait_frequency_hz: float = 1.4
     amplitudes: GaitAmplitudes = GaitAmplitudes()
     phase: float = 0.0
-    scripted_poses: np.ndarray | None = None
-    scripted_rate_hz: float = 10.0
 
     def __post_init__(self):
         object.__setattr__(self, "waypoints",
@@ -126,16 +116,6 @@ class MotionScript:
         times = [w[0] for w in self.waypoints]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise InvalidInputError("waypoint times must be strictly increasing")
-        if self.scripted_poses is not None:
-            poses = np.asarray(self.scripted_poses, dtype=np.float64)
-            object.__setattr__(self, "scripted_poses", poses)
-            spec = default_skeleton()
-            lengths = np.stack([
-                np.linalg.norm(poses[:, c] - poses[:, p], axis=1)
-                for p, c in spec.bones
-            ])
-            if (np.ptp(lengths, axis=1) > 1e-9).any():
-                raise InvalidInputError("scripted poses change bone lengths")
 
     @property
     def duration(self) -> float:
@@ -167,18 +147,10 @@ def _rot_z(theta: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def pose_at(script: MotionScript, body: BodyModel, t: float,
-            spec: SkeletonSpec | None = None) -> Pose3D:
+def pose_at(script: MotionScript, body: BodyModel, t: float) -> Pose3D:
     """Deterministic analytic pose at time t, world coordinates."""
-    spec = spec or default_skeleton()
     root_xy, heading = script.root_at(t)
-
-    if script.scripted_poses is not None:
-        idx = min(int(t * script.scripted_rate_hz), len(script.scripted_poses) - 1)
-        return Pose3D(script.scripted_poses[idx])
-
-    names = spec.joint_names
-    rest = rest_pose(spec, body.scale)
+    rest = rest_pose(body.scale)
     amp = script.amplitudes
     w = 2.0 * math.pi * script.gait_frequency_hz * t + script.phase
 
@@ -190,11 +162,10 @@ def pose_at(script: MotionScript, body: BodyModel, t: float,
         swing[f"{side}_wrist"] = _rot_x(amp.elbow * 0.5 * (1.0 - math.cos(w + ph + math.pi)))
 
     # Forward kinematics over the bone tree; bones are ordered parents-first.
-    k = spec.n_joints
-    local = np.zeros((k, 3))
-    accum = {spec.root_index: np.eye(3)}
-    for p, c in spec.bones:
-        rot = accum[p] @ swing.get(names[c], np.eye(3))
+    local = np.zeros((N_JOINTS, 3))
+    accum = {ROOT_INDEX: np.eye(3)}
+    for p, c in BONES:
+        rot = accum[p] @ swing.get(JOINT_NAMES[c], np.eye(3))
         accum[c] = rot
         local[c] = local[p] + rot @ (rest[c] - rest[p])
 
@@ -206,11 +177,9 @@ def pose_at(script: MotionScript, body: BodyModel, t: float,
     return Pose3D(world)
 
 
-def capsules_for(pose: Pose3D, body: BodyModel,
-                 spec: SkeletonSpec | None = None):
+def capsules_for(pose: Pose3D, body: BodyModel):
     """Capsule segment endpoints and radii for one posed body."""
-    spec = spec or default_skeleton()
     joints = pose.joints
-    a = np.stack([joints[p] for p, _ in spec.bones])
-    b = np.stack([joints[c] for _, c in spec.bones])
-    return a, b, body.bone_radii * body.scale
+    a = np.stack([joints[p] for p, _ in BONES])
+    b = np.stack([joints[c] for _, c in BONES])
+    return a, b, BONE_RADII * body.scale

@@ -57,8 +57,8 @@ class SceneConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "persons", tuple(self.persons))
-        if self.frame_count < 4:
-            raise InvalidInputError("frame_count must cover at least one window (>= 4)")
+        if self.frame_count < 8:
+            raise InvalidInputError("frame_count must give each split one window (>= 8)")
         if not self.persons:
             raise InvalidInputError("scene needs at least one person")
 

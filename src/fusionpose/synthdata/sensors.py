@@ -16,7 +16,7 @@ import numpy as np
 
 from ..association import Detection2D, Detection3D
 from ..errors import InvalidInputError
-from ..geometry import Calibration, Pose2D, Pose3D, SkeletonSpec, project
+from ..geometry import Calibration, Pose2D, Pose3D, project
 from .body import BodyModel, capsules_for
 
 _T_MIN = 1e-9
@@ -141,14 +141,14 @@ def intersect_rays_capsules(origin: np.ndarray, dirs: np.ndarray,
 
 
 def _cast_rays(origin: np.ndarray, dirs: np.ndarray,
-               posed: list[tuple[Pose3D, BodyModel]], spec: SkeletonSpec | None):
+               posed: list[tuple[Pose3D, BodyModel]]):
     """First hits of ``dirs`` against every body's capsules.
 
     Returns (t, index, owner) as ``intersect_rays_capsules`` does, plus
     the person each capsule belongs to. Each person's capsules see only
     the rays that can reach the sphere bounding all of them.
     """
-    capsules = [capsules_for(pose, body, spec) for pose, body in posed]
+    capsules = [capsules_for(pose, body) for pose, body in posed]
     owner = np.concatenate([np.full(len(r), pid)
                             for pid, (_, _, r) in enumerate(capsules)])
     t = np.full(dirs.shape[0], np.inf)
@@ -167,7 +167,7 @@ def _cast_rays(origin: np.ndarray, dirs: np.ndarray,
 
 
 def simulate_lidar(posed: list[tuple[Pose3D, BodyModel]], cfg: LidarConfig,
-                   seed: int, spec: SkeletonSpec | None = None):
+                   seed: int):
     """Ray-cast one LiDAR frame over all bodies.
 
     Returns (points (m, 3), labels (m,)) where labels index the person
@@ -178,7 +178,7 @@ def simulate_lidar(posed: list[tuple[Pose3D, BodyModel]], cfg: LidarConfig,
         return np.zeros((0, 3)), np.zeros(0, dtype=np.int64)
     origin = np.asarray(cfg.origin, dtype=np.float64)
     dirs = cfg.ray_directions()
-    t, idx, owner = _cast_rays(origin, dirs, posed, spec)
+    t, idx, owner = _cast_rays(origin, dirs, posed)
     hit = np.isfinite(t) & (t <= cfg.max_range_m)
     t, dirs, idx = t[hit], dirs[hit], idx[hit]
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -189,8 +189,7 @@ def simulate_lidar(posed: list[tuple[Pose3D, BodyModel]], cfg: LidarConfig,
 
 
 def render_raster(posed: list[tuple[Pose3D, BodyModel]], calib: Calibration,
-                  height: int, width: int,
-                  spec: SkeletonSpec | None = None) -> np.ndarray:
+                  height: int, width: int) -> np.ndarray:
     """Render the capsule scene into an (h, w, 3) float32 raster.
 
     Channels: inverse camera depth (0 where empty), silhouette mask, and
@@ -207,7 +206,7 @@ def render_raster(posed: list[tuple[Pose3D, BodyModel]], calib: Calibration,
     norms = np.linalg.norm(world_dirs, axis=1, keepdims=True)
     world_dirs = world_dirs / norms
     origin = calib.camera_center_world()
-    t, idx, owner = _cast_rays(origin, world_dirs, posed, spec)
+    t, idx, owner = _cast_rays(origin, world_dirs, posed)
     hit = np.isfinite(t)
     pts = origin + t[hit, None] * world_dirs[hit]
     z = (pts @ calib.rotation.T + calib.translation)[:, 2]

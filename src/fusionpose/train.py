@@ -28,7 +28,6 @@ from . import autodiff as ad
 from .config import RunConfig
 from .dataio import InstanceDataset, InstanceSample
 from .errors import CheckpointMismatchError, InvalidInputError
-from .geometry import default_skeleton
 from .gtguard import GT_GUARD
 from .losses import (LossWeights, chamfer_agu_loss, consistency_loss,
                      motion_loss, projection_loss, total_loss)
@@ -72,7 +71,6 @@ def sequence_loss(model: FusionPoseModel, frames, sample: InstanceSample,
     them already (see ``FusionPoseModel.forward``).
     """
     outs = model.forward(frames, encoded)
-    spec = default_skeleton()
     components: dict[str, ad.Tensor] = {}
 
     components["motion"] = _sum([motion_loss(outs[t].motion, sample.frames[t].kp,
@@ -88,7 +86,7 @@ def sequence_loss(model: FusionPoseModel, frames, sample: InstanceSample,
 
     components["cd_agu"] = _sum([chamfer_agu_loss(outs[t].final_pose,
                                                   frames[t].points + frames[t].box_center,
-                                                  spec, bone_samples)
+                                                  bone_samples)
                                  for t in range(len(outs))])
 
     total = total_loss(components, weights)
@@ -167,24 +165,55 @@ def save_checkpoint(store: ParameterStore, path: str | Path,
     store.save(path, extra)
 
 
+def _stored_count(extra: dict[str, np.ndarray], path, key: str) -> int:
+    """The checkpoint entry ``key`` read as a count."""
+    value = extra.get(key)
+    if value is None:
+        raise CheckpointMismatchError(f"{path}: no {key} entry")
+    if (value.shape != () or not np.isfinite(value) or value < 0
+            or value != np.floor(value)):
+        raise CheckpointMismatchError(
+            f"{path}: {key} = {value} is not a non-negative integer")
+    return int(value)
+
+
+def _optimizer_state(store: ParameterStore, extra: dict[str, np.ndarray],
+                     path) -> dict[str, np.ndarray]:
+    """The ``__opt__`` entries: none, or Adam's full state for ``store``."""
+    state = {k: v for k, v in extra.items() if k.startswith("__opt__")}
+    if not state:
+        return state  # saved by a store that had no optimizer yet
+    shapes = {"__opt__.t": ()}
+    for name, tensor in store.items():
+        shapes[f"__opt__.m.{name}"] = shapes[f"__opt__.v.{name}"] = tensor.data.shape
+    if set(state) != set(shapes):
+        odd = sorted(set(state) ^ set(shapes))[:3]
+        raise CheckpointMismatchError(
+            f"{path}: optimizer entries do not match the parameters ({odd})")
+    _stored_count(state, path, "__opt__.t")
+    for key, arr in state.items():
+        if arr.shape != shapes[key] or not np.isfinite(arr).all() or (
+                key.startswith("__opt__.v.") and (arr < 0).any()):
+            raise CheckpointMismatchError(
+                f"{path}: {key} is not a valid Adam moment of shape {shapes[key]}")
+    return state
+
+
 def load_checkpoint(store: ParameterStore, path: str | Path,
                     model_cfg: ModelConfig) -> TrainState:
     extra = store.load(path)
     for key in _CFG_KEYS:
-        stored = extra.get(f"__cfg__.{key}")
-        if stored is None or int(stored) != int(getattr(model_cfg, key)):
+        stored = _stored_count(extra, path, f"__cfg__.{key}")
+        if stored != getattr(model_cfg, key):
             raise CheckpointMismatchError(
                 f"{path}: checkpoint {key}={stored} does not match "
                 f"configured {getattr(model_cfg, key)}")
-    fusion_idx = int(extra.get("__cfg__.fusion", -1))
-    if fusion_idx != FUSION_VARIANTS.index(model_cfg.fusion):
+    if _stored_count(extra, path, "__cfg__.fusion") != FUSION_VARIANTS.index(model_cfg.fusion):
         raise CheckpointMismatchError(f"{path}: fusion variant mismatch")
-    store.state = {k: v for k, v in extra.items() if k.startswith("__opt__")}
-    return TrainState(
-        epoch=int(extra.get("__state__.epoch", 0)),
-        step=int(extra.get("__state__.step", 0)),
-        seed=int(extra.get("__state__.seed", 0)),
-    )
+    state = TrainState(**{key: _stored_count(extra, path, f"__state__.{key}")
+                          for key in ("epoch", "step", "seed")})
+    store.state = _optimizer_state(store, extra, path)
+    return state
 
 
 def latest_checkpoint(checkpoint_dir: str | Path) -> Path | None:

@@ -19,7 +19,7 @@ from fusionpose.cli import main as cli_main
 from fusionpose.config import load_config, parse_config_text
 from fusionpose.dataio import InstanceDataset, load_split
 from fusionpose.evaluate import evaluate_dataset
-from fusionpose.geometry import (Pose2D, default_skeleton, project, unproject)
+from fusionpose.geometry import Pose2D, project, unproject
 from fusionpose.gradcheck import finite_diff_check
 from fusionpose.gtguard import GT_GUARD
 from fusionpose.losses import (LossWeights, chamfer, chamfer_agu_loss,
@@ -96,7 +96,6 @@ def synthetic_window(cfg: ModelConfig, rng):
 
 
 def composite_loss(model, frames, kps, weights, consistency_target=None):
-    spec = default_skeleton()
     outs = model.forward(frames)
     comps = {}
     acc = motion_loss(outs[1].motion, kps[1], kps[0])
@@ -112,10 +111,10 @@ def composite_loss(model, frames, kps, weights, consistency_target=None):
                                           frames[t].calib))
     comps["proj"] = acc
     acc = chamfer_agu_loss(outs[0].final_pose,
-                           frames[0].points + frames[0].box_center, spec, 3)
+                           frames[0].points + frames[0].box_center, 3)
     for t in range(1, len(outs)):
         acc = ad.add(acc, chamfer_agu_loss(
-            outs[t].final_pose, frames[t].points + frames[t].box_center, spec, 3))
+            outs[t].final_pose, frames[t].points + frames[t].box_center, 3))
     comps["cd_agu"] = acc
     return total_loss(comps, weights)
 

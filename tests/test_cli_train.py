@@ -14,7 +14,6 @@ from fusionpose.cli import main
 from fusionpose.config import load_config
 from fusionpose.dataio import InstanceDataset, load_split
 from fusionpose.evaluate import export_poses, read_exported_poses
-from fusionpose.geometry import default_skeleton
 from fusionpose.metrics import pck
 from fusionpose.model import FusionPoseModel, build_model
 from fusionpose.params import ParameterStore
@@ -115,13 +114,12 @@ def test_export_gt_scores_pck_100(workdir, tmp_path):
     run_cfg = load_config(cfg)
     data = InstanceDataset(load_split(run_cfg.path("dataset_dir"), "val"),
                            run_cfg.model_config())
-    spec = default_skeleton()
     checked = 0
     for sample in data.samples:
         for fs in sample.frames:
             key = (sample.sequence_name, sample.track_id, fs.frame_index)
             if key in exported:
-                assert pck(exported[key], fs.gt_pose3d, spec.root_index) == 100.0
+                assert pck(exported[key], fs.gt_pose3d) == 100.0
                 checked += 1
     assert checked > 0
 
@@ -224,6 +222,31 @@ def _run_cfg(workdir, tree: Path, epochs: int) -> Path:
                                 f"paths.dataset_dir = {workdir / 'data'}")
                        .replace("optim.epochs = 2", f"optim.epochs = {epochs}"))
     return cfgfile
+
+
+def _flip(blob: bytes, marker: bytes, k: int, mask: int) -> bytes:
+    """XOR ``mask`` into the k-th byte after the first ``marker``."""
+    pos = blob.index(marker) + k
+    return blob[:pos] + bytes([blob[pos] ^ mask]) + blob[pos + 1:]
+
+
+@pytest.mark.parametrize("marker, k, mask", [
+    (b"__state__.epoch", 23, 0x40),  # top byte of 1.0: epoch becomes inf
+    (b"__state__.epoch", 23, 0x80),  # sign bit: epoch becomes -1.0
+    (b"__opt__.m.", 10, 0x01),  # one letter of an Adam moment's parameter path
+])
+def test_checkpoint_that_parses_but_cannot_be_used_exits_3(workdir, tmp_path, capsys,
+                                                           marker, k, mask):
+    cfgfile = _run_cfg(workdir, tmp_path, 1)
+    assert main(["train", "--config", str(cfgfile)]) == 0
+    ckpt = tmp_path / "ckpt" / "epoch_000.fpck"
+    ckpt.write_bytes(_flip(ckpt.read_bytes(), marker, k, mask))
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfgfile), "--checkpoint", str(ckpt)]) == 3
+    assert str(ckpt) in capsys.readouterr().err
+    resumed = _run_cfg(workdir, tmp_path, 2)
+    assert main(["train", "--config", str(resumed)]) == 3
+    assert str(ckpt) in capsys.readouterr().err
 
 
 def test_resume_skips_unreadable_newest_checkpoint(workdir, tmp_path, caplog):
@@ -481,6 +504,15 @@ def test_unknown_study_exits_2(workdir):
     ("ablate.point_budgets = 256,-1", "ablate.point_budgets"),
     ("ablate.occlusion_fraction = nan", "ablate.occlusion_fraction"),
     ("loss.bone_samples = -1", "loss.bone_samples"),
+    ("scene.frames = 4", "scene.frames"),
+    ("scene.frames = 6", "scene.frames"),
+    ("optim.step_size = -1", "optim.step_size"),
+    ("optim.step_size = nan", "optim.step_size"),
+    ("optim.epochs = -3", "optim.epochs"),
+    ("loss.lambda_proj = nan", "loss.lambda_proj"),
+    ("assoc.iou_threshold = nan", "assoc.iou_threshold"),
+    ("assoc.gate_distance = 0", "assoc.gate_distance"),
+    ("assoc.max_misses = -1", "assoc.max_misses"),
 ])
 def test_config_values_that_cannot_run_exit_2(tmp_path, capsys, line, key):
     cfgfile = tmp_path / "run.cfg"

@@ -11,7 +11,6 @@ from fusionpose.errors import ConfigError, FusionPoseError
 def test_defaults_follow_published_dimensions():
     cfg = RunConfig()
     assert cfg.n_points == 256
-    assert cfg.model_config().n_joints == 21
     assert cfg.window == 4
     assert cfg.batch_size == 8
     mc = cfg.model_config()
@@ -68,6 +67,25 @@ def test_missing_equals_sign():
     "scene.persons = 0",
     "scene.persons = 100000",
     "scene.frames = 3",
+    "scene.frames = 4",
+    "scene.frames = 7",
+    "optim.step_size = -1",
+    "optim.step_size = 0",
+    "optim.step_size = nan",
+    "optim.step_size = inf",
+    "optim.epochs = 0",
+    "optim.epochs = -3",
+    "loss.lambda_motion = -1",
+    "loss.lambda_consistency = inf",
+    "loss.lambda_proj = nan",
+    "loss.lambda_cd_agu = -0.5",
+    "assoc.iou_threshold = nan",
+    "assoc.iou_threshold = -0.1",
+    "assoc.iou_threshold = 1.5",
+    "assoc.gate_distance = 0",
+    "assoc.gate_distance = nan",
+    "assoc.gate_distance = inf",
+    "assoc.max_misses = -1",
     "scene.frame_rate_hz = 0",  # a removed key: rejected as unknown
     "scene.frame_rate_hz = nan",
     "scene.frame_rate_hz = inf",

@@ -8,7 +8,6 @@ from fusionpose.cli import main
 from fusionpose.config import load_config
 from fusionpose.dataio import InstanceDataset, load_split
 from fusionpose.evaluate import WindowScore, evaluate_dataset
-from fusionpose.geometry import default_skeleton
 from fusionpose.metrics import MetricAccumulator, mpjpe, pck
 from fusionpose.model import FusionPoseModel, build_model
 
@@ -44,8 +43,7 @@ def setup(tmp_path_factory):
 
 def per_window_reference(model, dataset, point_budget=None, occlusion=0.0, seed=0):
     """Every window scored on its own: each frame encoded inside forward."""
-    spec = default_skeleton()
-    acc = MetricAccumulator(spec, 3, False)
+    acc = MetricAccumulator(3, False)
     windows = []
     for sample in dataset.samples:
         frames = dataset.model_frames(sample, point_budget, occlusion, seed)
@@ -56,8 +54,8 @@ def per_window_reference(model, dataset, point_budget=None, occlusion=0.0, seed=
             errs.append((pred, fs.gt_pose3d))
         windows.append(WindowScore(
             sample.sequence_name, sample.track_id, sample.start_frame,
-            pck=float(np.mean([pck(p, g, spec.root_index) for p, g in errs])),
-            mpjpe_mm=float(np.mean([mpjpe(p, g, spec.root_index) for p, g in errs]))))
+            pck=float(np.mean([pck(p, g) for p, g in errs])),
+            mpjpe_mm=float(np.mean([mpjpe(p, g) for p, g in errs]))))
     return acc.report("val"), windows
 
 

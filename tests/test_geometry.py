@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from fusionpose.errors import EmptyCropError, InvalidInputError
-from fusionpose.geometry import (Calibration, Pose3D, SkeletonSpec,
-                                 crop_image, crop_points, default_skeleton,
-                                 downsample, interpolate_skeleton, project,
+from fusionpose.geometry import (BONES, JOINT_NAMES, N_JOINTS, ROOT_INDEX,
+                                 Calibration, Pose3D, crop_image, crop_points,
+                                 downsample, interpolation_matrix, project,
                                  unproject)
+from fusionpose.synthdata import body
 from fusionpose.synthdata.generate import default_calibration
 
 
@@ -124,45 +125,49 @@ def test_fps_spreads_better_than_uniform_sampling():
 # -- skeleton / interpolation ----------------------------------------------------
 
 
-def test_default_skeleton_is_a_21_joint_tree():
-    spec = default_skeleton()
-    assert spec.n_joints == 21
-    assert len(spec.bones) == 20
-    assert spec.root_index == 8
-    assert spec.joint_names[8] == "mid_hip"
-
-
-def test_skeleton_rejects_cycles():
-    with pytest.raises(InvalidInputError):
-        SkeletonSpec(("a", "b", "c"), ((0, 1), (1, 0)), 0)
+def test_skeleton_constants_form_one_21_joint_tree():
+    assert N_JOINTS == len(JOINT_NAMES) == 21
+    assert len(set(JOINT_NAMES)) == N_JOINTS
+    assert JOINT_NAMES[ROOT_INDEX] == "mid_hip"
+    assert len(BONES) == 20
+    # Parents first, from the root, spanning every joint: a tree that
+    # pose_at's forward kinematics can walk in order.
+    seen = {ROOT_INDEX}
+    for parent, child in BONES:
+        assert parent in seen and child not in seen
+        seen.add(child)
+    assert seen == set(range(N_JOINTS))
+    # The capsule body has a rest offset per joint and a radius per bone.
+    assert set(body._REST_LOCAL) == set(JOINT_NAMES)
+    assert set(body._BONE_RADII) == {(JOINT_NAMES[p], JOINT_NAMES[c]) for p, c in BONES}
+    assert body.BONE_RADII.shape == (len(BONES),)
+    assert (body.BONE_RADII > 0).all()
 
 
 def test_interpolate_s0_returns_joints():
-    spec = default_skeleton()
     rng = np.random.default_rng(3)
     pose = Pose3D(rng.normal(size=(21, 3)))
-    np.testing.assert_allclose(interpolate_skeleton(pose, spec, 0), pose.joints)
+    np.testing.assert_allclose(interpolation_matrix(0) @ pose.joints, pose.joints)
 
 
 def test_interpolate_contains_bone_midpoint():
-    spec = SkeletonSpec(("a", "b"), ((0, 1),), 0)
-    pose = Pose3D(np.array([[0.0, 0, 0], [0, 0, 1.0]]))
-    out = interpolate_skeleton(pose, spec, 1)
-    assert out.shape == (3, 3)
-    np.testing.assert_allclose(out[2], [0, 0, 0.5])
+    parent, child = BONES[0]
+    joints = np.zeros((N_JOINTS, 3))
+    joints[child] = [0.0, 0.0, 1.0]
+    out = interpolation_matrix(1) @ Pose3D(joints).joints
+    assert out.shape == (N_JOINTS + len(BONES), 3)
+    np.testing.assert_allclose(out[21], [0, 0, 0.5])
 
 
 @pytest.mark.parametrize("s", [0, 1, 3, 7])
 def test_interpolate_count_invariant(s):
-    spec = default_skeleton()
     pose = Pose3D(np.random.default_rng(4).normal(size=(21, 3)))
-    assert interpolate_skeleton(pose, spec, s).shape == (21 + 20 * s, 3)
+    assert (interpolation_matrix(s) @ pose.joints).shape == (21 + 20 * s, 3)
 
 
 def test_interpolate_s3_gives_81_points():
-    spec = default_skeleton()
     pose = Pose3D(np.zeros((21, 3)))
-    assert interpolate_skeleton(pose, spec, 3).shape[0] == 81
+    assert (interpolation_matrix(3) @ pose.joints).shape[0] == 81
 
 
 # -- crops -----------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from fusionpose import autodiff as ad
 from fusionpose.errors import ConfigError, InvalidInputError
-from fusionpose.geometry import Pose2D, default_skeleton
+from fusionpose.geometry import Pose2D, interpolation_matrix
 from fusionpose.losses import (LossWeights, chamfer, chamfer_agu_loss,
                                consistency_loss, motion_loss, projection_loss,
                                total_loss)
@@ -228,33 +228,29 @@ def test_chamfer_gradient_matches_finite_differences():
 
 
 def test_chamfer_agu_s0_reduces_to_plain_chamfer():
-    spec = default_skeleton()
     rng = np.random.default_rng(13)
     pose = rng.normal(size=(21, 3))
     cloud = rng.normal(size=(50, 3))
-    agu = chamfer_agu_loss(ad.Tensor(pose), cloud, spec, 0)
+    agu = chamfer_agu_loss(ad.Tensor(pose), cloud, 0)
     plain = chamfer(cloud, pose)
     assert float(agu.data) == pytest.approx(float(plain.data), rel=1e-15)
 
 
 def test_chamfer_agu_zero_when_cloud_on_skeleton():
-    spec = default_skeleton()
     rng = np.random.default_rng(14)
     pose = rng.normal(size=(21, 3))
-    from fusionpose.geometry import interpolation_matrix
-    cloud = interpolation_matrix(spec, 3) @ pose  # exactly the augmented points
-    assert float(chamfer_agu_loss(ad.Tensor(pose), cloud, spec, 3).data) == \
+    cloud = interpolation_matrix(3) @ pose  # exactly the augmented points
+    assert float(chamfer_agu_loss(ad.Tensor(pose), cloud, 3).data) == \
         pytest.approx(0.0, abs=1e-24)
 
 
 def test_chamfer_agu_gradient():
-    spec = default_skeleton()
     rng = np.random.default_rng(15)
     pose0 = rng.normal(size=(21, 3))
     cloud = rng.normal(size=(30, 3)) * 1.2
     pose = ad.Tensor(pose0)
     with ad.Tape() as tape:
-        loss = chamfer_agu_loss(pose, cloud, spec, 2)
+        loss = chamfer_agu_loss(pose, cloud, 2)
     grads = tape.backward(loss)
     g = tape.grad_for(grads, pose)
     tape.release()
@@ -263,9 +259,9 @@ def test_chamfer_agu_gradient():
     for i in range(0, flat.size, 7):  # subsample coordinates
         keep = flat[i]
         flat[i] = keep + h
-        fp = float(chamfer_agu_loss(ad.Tensor(pose0), cloud, spec, 2).data)
+        fp = float(chamfer_agu_loss(ad.Tensor(pose0), cloud, 2).data)
         flat[i] = keep - h
-        fm = float(chamfer_agu_loss(ad.Tensor(pose0), cloud, spec, 2).data)
+        fm = float(chamfer_agu_loss(ad.Tensor(pose0), cloud, 2).data)
         flat[i] = keep
         fd = (fp - fm) / (2 * h)
         assert abs(fd - g.reshape(-1)[i]) < 1e-4 * max(1.0, abs(fd))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fusionpose import autodiff as ad
 from fusionpose.errors import ConfigError, DimensionError
-from fusionpose.geometry import project
+from fusionpose.geometry import N_JOINTS, project
 from fusionpose.model import (FUSION_VARIANTS, FusionPoseModel, ModelConfig,
                               ModelFrame, build_model, lookup_weights)
 from fusionpose.synthdata.generate import default_calibration
@@ -159,10 +159,10 @@ def test_any_point_count_gives_finite_outputs_of_documented_shapes(variant, m, s
         assert affinity.shape == (m, cfg.n_tokens)
         assert np.isfinite(affinity.data).all()
     for o in model.forward(frames):
-        for out, shape in ((o.motion, (cfg.n_joints, 2)),
-                           (o.positions, (cfg.n_joints, 3)),
-                           (o.features, (cfg.n_joints, cfg.joint_feat_dim)),
-                           (o.final_pose, (cfg.n_joints, 3))):
+        for out, shape in ((o.motion, (N_JOINTS, 2)),
+                           (o.positions, (N_JOINTS, 3)),
+                           (o.features, (N_JOINTS, cfg.joint_feat_dim)),
+                           (o.final_pose, (N_JOINTS, 3))):
             assert out.shape == shape
             assert np.isfinite(out.data).all()
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fusionpose.errors import FusionPoseError, InvalidInputError
-from fusionpose.geometry import default_skeleton, project
+from fusionpose.geometry import BONES, ROOT_INDEX, Pose3D, project
 from fusionpose.synthdata import (BodyModel, DetectionJitter, GaitAmplitudes,
                                   LidarConfig, MotionScript, occlude_points,
                                   pose_at, read_sequence, rest_pose,
@@ -12,10 +12,7 @@ from fusionpose.synthdata.body import capsules_for
 from fusionpose.synthdata.generate import (SceneConfig, default_calibration,
                                            default_scene, generate_dataset,
                                            simulate_frames)
-from fusionpose.geometry import Pose3D
 from fusionpose.synthdata.sensors import _cast_rays, intersect_rays_capsules
-
-SPEC = default_skeleton()
 
 
 def straight_script(**kwargs):
@@ -26,7 +23,7 @@ def straight_script(**kwargs):
 
 
 def bone_lengths(joints):
-    return np.array([np.linalg.norm(joints[c] - joints[p]) for p, c in SPEC.bones])
+    return np.array([np.linalg.norm(joints[c] - joints[p]) for p, c in BONES])
 
 
 # -- bodies / motion -------------------------------------------------------------
@@ -57,7 +54,7 @@ def test_gait_is_periodic_up_to_root_translation():
     t = 3.0
     a = pose_at(script, body, t).joints
     b = pose_at(script, body, t + 1.0 / f).joints
-    root_shift = b[SPEC.root_index] - a[SPEC.root_index]
+    root_shift = b[ROOT_INDEX] - a[ROOT_INDEX]
     assert np.abs((b - root_shift) - a).max() < 1e-9
 
 
@@ -65,20 +62,6 @@ def test_pose_at_rejects_out_of_range_time():
     script = straight_script()
     with pytest.raises(InvalidInputError):
         pose_at(script, BodyModel(), 25.0)
-
-
-def test_scripted_pose_sequence_is_held_per_frame():
-    poses = np.stack([rest_pose() + [0, 0, 0.9], rest_pose() + [0.5, 0, 0.9]])
-    script = MotionScript(waypoints=((0.0, 0, 0), (1.0, 0, 0)),
-                          scripted_poses=poses, scripted_rate_hz=2.0)
-    got = pose_at(script, BodyModel(), 0.6)
-    np.testing.assert_array_equal(got.joints, poses[1])
-
-
-def test_scripted_poses_with_varying_bone_lengths_rejected():
-    bad = np.stack([rest_pose(), rest_pose() * 1.2])
-    with pytest.raises(InvalidInputError):
-        MotionScript(waypoints=((0.0, 0, 0), (1.0, 0, 0)), scripted_poses=bad)
 
 
 def test_body_scale_bounds():
@@ -261,7 +244,7 @@ def test_cast_rays_is_bit_identical_to_all_pairs():
         caps = [capsules_for(pose, b) for pose, b in posed]
         grazing = [d for a, b, r in zip(*caps[0]) for d in _grazing_dirs(rng, origin, a, b, r)]
         dirs = np.concatenate([lidar, grazing, _unit(rng.normal(size=(50, 3)))])
-        t, idx, owner = _cast_rays(origin, dirs, posed, None)
+        t, idx, owner = _cast_rays(origin, dirs, posed)
         seg_a, seg_b, radii = (np.concatenate(part) for part in zip(*caps))
         t_ref, idx_ref = all_pairs_reference(origin, dirs, seg_a, seg_b, radii)
         owner_ref = np.repeat(np.arange(len(caps)), [len(r) for _, _, r in caps])
@@ -522,5 +505,8 @@ def test_header_frame_count_matches_frames_on_disk(tmp_path):
 
 
 def test_scene_config_requires_enough_frames():
-    with pytest.raises(InvalidInputError):
-        SceneConfig(persons=small_scene().persons, frame_count=3)
+    # generate_dataset gives each split at least 4 frames
+    for frames in (3, 7):
+        with pytest.raises(InvalidInputError):
+            SceneConfig(persons=small_scene().persons, frame_count=frames)
+    assert SceneConfig(persons=small_scene().persons, frame_count=8).frame_count == 8
