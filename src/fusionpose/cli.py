@@ -2,7 +2,8 @@
 
 Every command exits 0 on success; failures print one machine-parseable
 line (``fusionpose: error: <message>``) to stderr and exit 2 for bad
-input/config or 3 for checkpoint/config mismatches.
+input/config or a path the OS refuses, or 3 for checkpoint/config
+mismatches.
 """
 
 from __future__ import annotations
@@ -178,7 +179,8 @@ def main(argv=None) -> int:
     except CheckpointMismatchError as exc:
         print(f"fusionpose: error: {exc}", file=sys.stderr)
         return 3
-    except (FusionPoseError, TrainingAborted, FileNotFoundError) as exc:
+    except (FusionPoseError, TrainingAborted, FileNotFoundError, NotADirectoryError,
+            IsADirectoryError, FileExistsError, PermissionError) as exc:
         print(f"fusionpose: error: {exc}", file=sys.stderr)
         return 2
 

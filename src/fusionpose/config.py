@@ -16,11 +16,12 @@ from pathlib import Path
 from .errors import ConfigError
 from .losses import LossWeights
 from .model import ModelConfig
-from .synthdata.generate import SceneConfig, default_calibration, default_scene
+from .synthdata.generate import (SceneConfig, default_calibration, default_scene,
+                                 train_frame_count)
 
 _MAX_PERSONS = 1000
 _MAX_FRAMES = 1_000_000
-_MIN_FRAMES = 8  # generate_dataset clamps each split to at least 4 frames
+_MIN_FRAMES = 8  # train_frame_count leaves each split at least 4 frames
 
 
 @dataclass
@@ -81,6 +82,13 @@ class RunConfig:
         if self.batch_size < 1:
             raise ConfigError("optim.batch_size must be >= 1")
         self.model_config()  # raises on any model.* key that cannot run
+        n_train = train_frame_count(self.scene_frames, self.val_fraction)
+        if min(n_train, self.scene_frames - n_train) < self.window:
+            raise ConfigError(
+                f"scene.frames = {self.scene_frames} with scene.val_fraction = "
+                f"{self.val_fraction} splits into {n_train} train and "
+                f"{self.scene_frames - n_train} val frames; each split must hold "
+                f"at least model.window = {self.window} frames")
         if self.window_stride < 1:
             raise ConfigError("train.window_stride must be >= 1")
         if self.bone_samples < 0:
@@ -100,8 +108,8 @@ class RunConfig:
             raise ConfigError("assoc.max_misses must be >= 0")
         if not 0.0 <= self.occlusion_fraction < 1.0:  # also rejects nan
             raise ConfigError("ablate.occlusion_fraction must be finite and in [0, 1)")
-        if any(budget < 1 for budget in self.point_budgets):
-            raise ConfigError("ablate.point_budgets must all be >= 1")
+        if not self.point_budgets or any(budget < 1 for budget in self.point_budgets):
+            raise ConfigError("ablate.point_budgets must list budgets, each >= 1")
 
     # -- derived objects ----------------------------------------------------
 
@@ -176,8 +184,8 @@ _KEY_MAP = {
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
-def _coerce(field_name: str, raw: str):
-    ftype = _FIELD_TYPES[field_name]
+def _coerce(key: str, raw: str):
+    ftype = _FIELD_TYPES[_KEY_MAP[key]]
     raw = raw.strip()
     try:
         if ftype == "int":
@@ -191,10 +199,10 @@ def _coerce(field_name: str, raw: str):
                 return False
             raise ValueError(raw)
         if ftype == "tuple[int, ...]":
-            return tuple(int(v) for v in raw.split(",") if v.strip())
+            return tuple(int(v) for v in raw.split(","))  # no empty items
         return raw
     except ValueError as exc:
-        raise ConfigError(f"{field_name}: cannot parse {raw!r}") from exc
+        raise ConfigError(f"{key}: cannot parse {raw!r}") from exc
 
 
 def parse_config_text(text: str, base_dir: str = ".") -> RunConfig:
@@ -209,8 +217,7 @@ def parse_config_text(text: str, base_dir: str = ".") -> RunConfig:
         key = key.strip()
         if key not in _KEY_MAP:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        field_name = _KEY_MAP[key]
-        values[field_name] = _coerce(field_name, rhs)
+        values[_KEY_MAP[key]] = _coerce(key, rhs)
     return RunConfig(**values)
 
 

@@ -9,7 +9,7 @@ are only reachable through the guarded accessor.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 from .association import (InstanceTracker, PairedObservation, build_sequences,
                           pair_2d_3d)
 from .errors import EmptyCropError, InvalidInputError
-from .geometry import Calibration, Pose2D, crop_image, crop_points, downsample
+from .geometry import Pose2D, crop_image, crop_points, downsample
 from .model import ModelConfig, ModelFrame
 from .synthdata.generate import child_seed
 from .synthdata.seqfile import SequenceData, read_manifest, read_sequence
@@ -32,14 +32,10 @@ class FrameSample:
 
     frame_index: int
     crop_cloud: np.ndarray  # raw cropped points, world frame
-    box_center: np.ndarray  # (3,) 3D crop-box center
-    box2d: tuple[float, float, float, float]
-    raster_crop: np.ndarray  # (hw, hw, 3) resampled image crop
+    model_input: ModelFrame  # the crop's clean network input, built once
     kp: Pose2D
-    calib: Calibration
     person_index: int
     _gt_person: object = None  # PersonFrame backing the guarded GT accessor
-    model_points: np.ndarray | None = None  # cached (m <= n_points, 3) centered input
 
     @property
     def gt_pose3d(self) -> np.ndarray | None:
@@ -124,49 +120,39 @@ class InstanceDataset:
         hw = self.model_cfg.image_hw
         raster_crop = crop_image(frame.raster, obs.det2d.box, (hw, hw))
         center = np.asarray(det3.center, dtype=np.float64)
-        sample = FrameSample(
-            frame_index=frame_index,
-            crop_cloud=cloud,
-            box_center=center,
-            box2d=obs.det2d.box,
-            raster_crop=raster_crop,
-            kp=obs.kp2d,
-            calib=seq.calibration,
-            person_index=obs.person_index,
-            _gt_person=frame.persons[obs.person_index],
-        )
-        sample.model_points = downsample(cloud, self.model_cfg.n_points) - center
-        return sample
+        model_input = ModelFrame(downsample(cloud, self.model_cfg.n_points) - center,
+                                 raster_crop, center, obs.det2d.box, seq.calibration)
+        return FrameSample(frame_index, cloud, model_input, obs.kp2d, obs.person_index,
+                           _gt_person=frame.persons[obs.person_index])
 
     def model_frames(self, sample: InstanceSample, point_budget: int | None = None,
                      occlusion: float = 0.0, seed: int = 0) -> list[ModelFrame]:
         """Network inputs for one window: the crop's real points, never padded.
 
-        ``occlusion`` first drops that fraction of the crop uniformly,
-        ``point_budget`` then subsamples what is left to that many points
-        (the density-ablation protocol), and ``downsample`` caps the rest
-        at ``model_cfg.n_points``.
+        The clean inputs are the stored ``model_input`` objects, so
+        windows sharing a crop share its input. ``occlusion`` first drops
+        that fraction of the crop uniformly, ``point_budget`` then
+        subsamples what is left to that many points (the density-ablation
+        protocol), and ``downsample`` caps the rest at ``model_cfg.n_points``.
         """
+        if point_budget is None and occlusion == 0.0:
+            return [fs.model_input for fs in sample.frames]
         out = []
         for fs in sample.frames:
-            if point_budget is None and occlusion == 0.0:
-                pts = fs.model_points
-            else:
-                cloud = fs.crop_cloud
-                if occlusion > 0.0:
-                    cloud = occlude_points(cloud, occlusion,
-                                           child_seed(seed, 71, fs.frame_index,
-                                                      fs.person_index))
-                    if len(cloud) == 0:
-                        cloud = fs.crop_cloud[:1]
-                if point_budget is not None and len(cloud) > point_budget:
-                    rng = np.random.Generator(np.random.PCG64(
-                        child_seed(seed, 72, fs.frame_index, fs.person_index)))
-                    keep = np.sort(rng.choice(len(cloud), point_budget, replace=False))
-                    cloud = cloud[keep]
-                pts = downsample(cloud, self.model_cfg.n_points) - fs.box_center
-            out.append(ModelFrame(pts, fs.raster_crop, fs.box_center,
-                                  fs.box2d, fs.calib))
+            cloud = fs.crop_cloud
+            if occlusion > 0.0:
+                cloud = occlude_points(cloud, occlusion,
+                                       child_seed(seed, 71, fs.frame_index,
+                                                  fs.person_index))
+                if len(cloud) == 0:
+                    cloud = fs.crop_cloud[:1]
+            if point_budget is not None and len(cloud) > point_budget:
+                rng = np.random.Generator(np.random.PCG64(
+                    child_seed(seed, 72, fs.frame_index, fs.person_index)))
+                keep = np.sort(rng.choice(len(cloud), point_budget, replace=False))
+                cloud = cloud[keep]
+            pts = downsample(cloud, self.model_cfg.n_points) - fs.model_input.box_center
+            out.append(replace(fs.model_input, points=pts))
         return out
 
 

@@ -52,7 +52,7 @@ def _predictions(model: FusionPoseModel | None, dataset: InstanceDataset,
         if mode == "oracle":
             yield sample, [fs.gt_pose3d for fs in sample.frames]
         elif mode == "baseline":
-            yield sample, [baseline_pose(fs.box_center) for fs in sample.frames]
+            yield sample, [baseline_pose(fs.model_input.box_center) for fs in sample.frames]
         else:
             frames = dataset.model_frames(sample, point_budget, occlusion, seed)
             for fs, frame in zip(sample.frames, frames):

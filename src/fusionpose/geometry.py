@@ -38,6 +38,8 @@ class Calibration:
             raise InvalidInputError("rotation is not orthonormal within 1e-9")
         if abs(np.linalg.det(r) - 1.0) > 1e-9:
             raise InvalidInputError("rotation determinant is not +1 within 1e-9")
+        if not np.isfinite([self.fx, self.fy, self.cx, self.cy, *self.translation]).all():
+            raise InvalidInputError("calibration intrinsics and translation must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise InvalidInputError("focal lengths must be positive")
 

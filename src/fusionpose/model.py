@@ -61,9 +61,9 @@ class ModelConfig:
         return self.width // 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelFrame:
-    """One frame of network input for one instance."""
+    """One frame of network input for one instance; windows share it, so frozen."""
 
     points: np.ndarray  # (m, 3), m >= 1, centered on the 3D crop-box center
     raster: np.ndarray  # (hw, hw, 3) cropped image
@@ -100,8 +100,10 @@ class LayerNorm:
         return ad.layer_norm(x, self.gain, self.bias)
 
 
-class SelfAttention:
-    """Single-head scaled dot-product attention over one token set."""
+class Attention:
+    """Single-head scaled dot-product attention of ``x`` over ``context``:
+    self-attention when both are the same token set, cross-attention
+    otherwise. Returns the weighted values, the affinity and the queries."""
 
     def __init__(self, store, path: str, d: int):
         self.wq = store.weight(f"{path}.q", (d, d))
@@ -109,12 +111,12 @@ class SelfAttention:
         self.wv = store.weight(f"{path}.v", (d, d))
         self.scale = 1.0 / np.sqrt(d)
 
-    def __call__(self, x):
+    def __call__(self, x, context):
         q = ad.matmul(x, self.wq)
-        k = ad.matmul(x, self.wk)
-        v = ad.matmul(x, self.wv)
+        k = ad.matmul(context, self.wk)
+        v = ad.matmul(context, self.wv)
         affinity = ad.softmax(ad.scale(ad.matmul(q, ad.transpose(k)), self.scale))
-        return ad.matmul(affinity, v)
+        return ad.matmul(affinity, v), affinity, q
 
 
 class PointEncoder:
@@ -129,7 +131,7 @@ class PointEncoder:
             self.mlp.append(Linear(store, f"{path}.mlp{i}", prev, d))
             prev = d
         self.reduce = Linear(store, f"{path}.reduce", 2 * width, width)
-        self.attn = SelfAttention(store, f"{path}.attn", width)
+        self.attn = Attention(store, f"{path}.attn", width)
         self.ln = LayerNorm(store, f"{path}.ln", width)
 
     def __call__(self, points):
@@ -139,7 +141,7 @@ class PointEncoder:
         pooled = ad.max_over_rows(h)
         broadcast = ad.matmul(np.ones((h.shape[0], 1)), pooled)
         p = self.reduce(ad.concat([h, broadcast], axis=1))
-        return self.ln(ad.add(p, self.attn(p)))
+        return self.ln(ad.add(p, self.attn(p, p)[0]))
 
 
 class ImageEncoder:
@@ -154,7 +156,7 @@ class ImageEncoder:
         ]
         self.mix0 = Linear(store, f"{path}.mix0", width, width)
         self.mix1 = Linear(store, f"{path}.mix1", width, width)
-        self.attn = SelfAttention(store, f"{path}.attn", width)
+        self.attn = Attention(store, f"{path}.attn", width)
         self.ln = LayerNorm(store, f"{path}.ln", width)
         self.image_hw = image_hw
         self.width = width
@@ -174,7 +176,7 @@ class ImageEncoder:
             cur = ad.reshape(ad.transpose(h), (c_out, size, size))
         tokens = ad.transpose(ad.reshape(cur, (self.width, size * size)))
         mixed = self.mix1(ad.relu(self.mix0(tokens)))
-        encoded = self.ln(ad.add(mixed, self.attn(mixed)))
+        encoded = self.ln(ad.add(mixed, self.attn(mixed, mixed)[0]))
         return encoded, tokens  # tokens: pre-mix conv features for lookups
 
 
@@ -184,23 +186,16 @@ class CrossAttentionFusion:
     layer norm and a feed-forward block produce the fused features."""
 
     def __init__(self, store, path: str, width: int):
-        self.wq = store.weight(f"{path}.q", (width, width))
-        self.wk = store.weight(f"{path}.k", (width, width))
-        self.wv = store.weight(f"{path}.v", (width, width))
+        self.attn = Attention(store, path, width)
         self.proj0 = Linear(store, f"{path}.proj0", 2 * width, width)
         self.proj1 = Linear(store, f"{path}.proj1", width, width)
         self.ln1 = LayerNorm(store, f"{path}.ln1", width)
         self.ffn0 = Linear(store, f"{path}.ffn0", width, 2 * width)
         self.ffn1 = Linear(store, f"{path}.ffn1", 2 * width, width)
         self.ln2 = LayerNorm(store, f"{path}.ln2", width)
-        self.scale = 1.0 / np.sqrt(width)
 
     def __call__(self, fp, fi):
-        q = ad.matmul(fp, self.wq)
-        k = ad.matmul(fi, self.wk)
-        v = ad.matmul(fi, self.wv)
-        affinity = ad.softmax(ad.scale(ad.matmul(q, ad.transpose(k)), self.scale))
-        weighted = ad.matmul(affinity, v)
+        weighted, affinity, q = self.attn(fp, fi)
         joined = self.proj1(ad.relu(self.proj0(ad.concat([weighted, q], axis=1))))
         attended = self.ln1(ad.add(fp, joined))
         ffn = self.ffn1(ad.relu(self.ffn0(attended)))

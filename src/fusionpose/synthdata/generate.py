@@ -115,18 +115,24 @@ def simulate_frames(cfg: SceneConfig) -> list[FrameRecord]:
     return frames
 
 
+def train_frame_count(frame_count: int, val_fraction: float) -> int:
+    """Frames of the train split: the first (1 - val_fraction) of the
+    time axis, leaving each split at least 4 frames; the rest is val."""
+    n_train = int(round(frame_count * (1.0 - val_fraction)))
+    return min(max(n_train, 4), frame_count - 4)
+
+
 def generate_dataset(cfg: SceneConfig, out_dir: str | Path) -> dict:
     """Simulate the scene and write train/val sequence files + manifest.
 
-    The time axis is split: the first (1 - val_fraction) of the frames
-    become the train sequence, the rest the val sequence. Output is
-    byte-identical for identical (config, seed).
+    The time axis is split by ``train_frame_count`` into the train
+    sequence and the val sequence. Output is byte-identical for
+    identical (config, seed).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     frames = simulate_frames(cfg)
-    n_train = int(round(cfg.frame_count * (1.0 - cfg.val_fraction)))
-    n_train = min(max(n_train, 4), cfg.frame_count - 4)
+    n_train = train_frame_count(cfg.frame_count, cfg.val_fraction)
     splits = {"train": frames[:n_train], "val": frames[n_train:]}
     files: dict[str, list[str]] = {}
     for split, chunk in splits.items():

@@ -81,7 +81,7 @@ def sequence_loss(model: FusionPoseModel, frames, sample: InstanceSample,
     components["consistency"] = ad.scale(consistency, float(len(outs)))
 
     components["proj"] = _sum([projection_loss(outs[t].final_pose, sample.frames[t].kp,
-                                               sample.frames[t].calib)
+                                               frames[t].calib)
                                for t in range(len(outs))])
 
     components["cd_agu"] = _sum([chamfer_agu_loss(outs[t].final_pose,
@@ -110,10 +110,8 @@ def batch_gradients(model: FusionPoseModel, store: ParameterStore,
        ``sum(pooled * leaf_grad)``.
     """
     inputs = [dataset.model_frames(sample) for sample in batch]
-    frames = {}
-    for sample, window in zip(batch, inputs):
-        for fs, frame in zip(sample.frames, window):
-            frames.setdefault(id(fs), frame)
+    # windows that share a crop share its input object
+    frames = {id(f): f for window in inputs for f in window}
     pooled = {key: model.encode(frame) for key, frame in frames.items()}
 
     scale = 1.0 / len(batch)
@@ -123,7 +121,7 @@ def batch_gradients(model: FusionPoseModel, store: ParameterStore,
         for sample, window in zip(batch, inputs):
             total, values = sequence_loss(model, window, sample, weights,
                                           bone_samples,
-                                          [pooled[id(fs)] for fs in sample.frames])
+                                          [pooled[id(f)] for f in window])
             totals.append(total)
             for name, v in values.items():
                 sums[name] += v

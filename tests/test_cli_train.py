@@ -1,5 +1,6 @@
 import csv
 import os
+import struct
 import subprocess
 import sys
 import textwrap
@@ -13,10 +14,12 @@ from fusionpose import train
 from fusionpose.cli import main
 from fusionpose.config import load_config
 from fusionpose.dataio import InstanceDataset, load_split
+from fusionpose.errors import InvalidInputError
 from fusionpose.evaluate import export_poses, read_exported_poses
 from fusionpose.metrics import pck
 from fusionpose.model import FusionPoseModel, build_model
 from fusionpose.params import ParameterStore
+from fusionpose.synthdata.seqfile import read_sequence
 from fusionpose.train import (LOSS_NAMES, Trainer, TrainingAborted, TrainState,
                               latest_checkpoint, save_checkpoint)
 
@@ -349,6 +352,45 @@ def test_version_1_sequence_file_exits_2(workdir, tmp_path, capsys):
     assert "unsupported version 1" in err and "regenerate" in err
 
 
+def test_non_finite_calibration_in_sequence_file_exits_2(workdir, tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for src in (workdir / "data").iterdir():
+        blob = bytearray(src.read_bytes())
+        if src.suffix == ".fpseq":
+            blob[21:29] = struct.pack("<d", float("nan"))  # fx, after the header
+        (data / src.name).write_bytes(bytes(blob))
+    with pytest.raises(InvalidInputError, match="finite"):
+        read_sequence(data / "val_000.fpseq")
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(TINY_CFG.replace("paths.dataset_dir = data",
+                                        f"paths.dataset_dir = {data}"))
+    assert main(["eval", "--config", str(cfgfile), "--oracle"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fusionpose: error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("line, command", [
+    ("paths.report_dir = {afile}", ["train"]),
+    ("paths.checkpoint_dir = {afile}", ["train"]),
+    ("paths.dataset_dir = {afile}", ["generate"]),
+    ("", ["eval", "--checkpoint", "{tmp}"]),
+    ("", ["eval", "--baseline", "--out", "{afile}/x.csv"]),
+], ids=["report_dir", "checkpoint_dir", "dataset_dir", "checkpoint_is_dir",
+        "out_under_file"])
+def test_paths_the_os_refuses_exit_2(workdir, tmp_path, capsys, line, command):
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n")
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(TINY_CFG.replace("paths.dataset_dir = data",
+                                        f"paths.dataset_dir = {workdir / 'data'}")
+                       + line.format(afile=afile) + "\n")  # a later key wins
+    argv = [arg.format(afile=afile, tmp=tmp_path) for arg in command]
+    assert main([*argv, "--config", str(cfgfile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fusionpose: error:") and len(err.strip().splitlines()) == 1
+
+
 def test_zero_weights_leave_parameters_unchanged(workdir):
     cfg = load_config(cfg_path(workdir))
     data = InstanceDataset(load_split(cfg.path("dataset_dir"), "train"),
@@ -513,6 +555,9 @@ def test_unknown_study_exits_2(workdir):
     ("assoc.iou_threshold = nan", "assoc.iou_threshold"),
     ("assoc.gate_distance = 0", "assoc.gate_distance"),
     ("assoc.max_misses = -1", "assoc.max_misses"),
+    ("ablate.point_budgets =", "ablate.point_budgets"),
+    ("ablate.point_budgets = 8,,16", "ablate.point_budgets"),
+    ("scene.frames = 8\nmodel.window = 6", "model.window"),
 ])
 def test_config_values_that_cannot_run_exit_2(tmp_path, capsys, line, key):
     cfgfile = tmp_path / "run.cfg"

@@ -98,6 +98,11 @@ def test_missing_equals_sign():
     "ablate.point_budgets = -5",
     "ablate.point_budgets = 256,-1",
     "ablate.point_budgets = 0",
+    "ablate.point_budgets =",
+    "ablate.point_budgets = 8,,16",
+    "ablate.point_budgets = 8,16,",
+    "scene.frames = 8\nmodel.window = 6",
+    "scene.frames = 20\nscene.val_fraction = 0.9\nmodel.window = 5",
     "ablate.occlusion_fraction = -0.2",
     "ablate.occlusion_fraction = 1.0",
     "ablate.occlusion_fraction = nan",
@@ -107,6 +112,25 @@ def test_missing_equals_sign():
 def test_invariant_violations(line):
     with pytest.raises(ConfigError):
         parse_config_text(line)
+
+
+@pytest.mark.parametrize("text, key", [
+    ("optim.epochs = banana", "optim.epochs"),
+    ("ablate.point_budgets =", "ablate.point_budgets"),
+    ("ablate.point_budgets = 8,,16", "ablate.point_budgets"),
+])
+def test_unparseable_value_names_its_key(text, key):
+    with pytest.raises(ConfigError, match=key):
+        parse_config_text(text)
+
+
+def test_short_split_names_frames_val_fraction_and_window():
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text("scene.frames = 8\nmodel.window = 6")
+    for key in ("scene.frames", "scene.val_fraction", "model.window"):
+        assert key in str(exc.value)
+    # each split of 8 frames holds 4: a window of 4 still fits
+    assert parse_config_text("scene.frames = 8\nmodel.window = 4").window == 4
 
 
 def test_every_key_sets_a_field_and_every_field_has_a_key():

@@ -60,7 +60,7 @@ def test_instance_dataset_builds_model_inputs(dataset_dir):
         assert mf.raster.shape == (16, 16, 3)
         # points are centered on the box center
         assert np.abs(mf.points.mean(axis=0)).max() < 2.0
-        np.testing.assert_array_equal(mf.box_center, fs.box_center)
+        assert mf is fs.model_input  # the clean input is the stored one
 
 
 def test_model_frames_with_budget_and_occlusion(dataset_dir):
@@ -89,7 +89,7 @@ def test_model_frames_hold_distinct_crop_points_up_to_the_cap(dataset_dir, arm, 
         for fs, mf in zip(sample.frames, data.model_frames(sample, **arm)):
             rows = {tuple(p) for p in mf.points}
             assert len(rows) == len(mf.points) <= cfg.n_points
-            assert rows <= {tuple(p) for p in fs.crop_cloud - fs.box_center}
+            assert rows <= {tuple(p) for p in fs.crop_cloud - fs.model_input.box_center}
             if cap is not None:
                 assert len(mf.points) == min(len(fs.crop_cloud), cap)
             sizes.add(len(fs.crop_cloud))
@@ -108,6 +108,33 @@ def test_frames_are_shared_between_overlapping_windows(dataset_dir):
         for a, b in zip(windows, windows[1:]):
             if b.start_frame == a.start_frame + 1:
                 assert b.frames[0] is a.frames[1]
+
+
+def test_windows_sharing_a_crop_share_its_clean_input(dataset_dir):
+    data = InstanceDataset(load_split(dataset_dir, "train"), model_cfg())
+    inputs = {}
+    shared = 0
+    for sample in data.samples:
+        for fs, mf in zip(sample.frames, data.model_frames(sample)):
+            if id(fs) in inputs:
+                assert mf is inputs[id(fs)]
+                shared += 1
+            inputs[id(fs)] = mf
+    assert shared > 0
+
+
+def test_degraded_arms_leave_the_stored_inputs_untouched(dataset_dir):
+    data = InstanceDataset(load_split(dataset_dir, "val"), model_cfg(n_points=16))
+    frames = [fs for sample in data.samples for fs in sample.frames]
+    before = [fs.model_input.points.copy() for fs in frames]
+    for sample in data.samples:
+        for arm in (dict(point_budget=8, seed=1), dict(occlusion=0.6, seed=1)):
+            for fs, mf in zip(sample.frames, data.model_frames(sample, **arm)):
+                assert mf is not fs.model_input
+                assert mf.raster is fs.model_input.raster
+                mf.points[...] += 1.0  # a caller's edit must not reach the store
+    for fs, points in zip(frames, before):
+        assert fs.model_input.points.tobytes() == points.tobytes()
 
 
 def test_gt_access_is_counted_and_forbidden_in_training_scope(dataset_dir):

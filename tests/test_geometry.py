@@ -33,6 +33,20 @@ def test_calibration_rejects_nonpositive_focal():
         Calibration(-1, 1, 0, 0, np.eye(3), np.zeros(3))
 
 
+@pytest.mark.parametrize("fx, fy, cx, cy, translation", [
+    (np.nan, 1, 0, 0, [0, 0, 0]),
+    (1, np.nan, 0, 0, [0, 0, 0]),
+    (1, 1, np.inf, 0, [0, 0, 0]),
+    (1, 1, 0, -np.inf, [0, 0, 0]),
+    (np.inf, 1, 0, 0, [0, 0, 0]),
+    (1, 1, 0, 0, [0, np.nan, 0]),
+    (1, 1, 0, 0, [np.inf, 0, 0]),
+], ids=["fx-nan", "fy-nan", "cx-inf", "cy-neginf", "fx-inf", "t-nan", "t-inf"])
+def test_calibration_rejects_non_finite_values(fx, fy, cx, cy, translation):
+    with pytest.raises(InvalidInputError, match="finite"):
+        Calibration(fx, fy, cx, cy, np.eye(3), np.array(translation, dtype=float))
+
+
 def test_project_pinhole_by_hand():
     pixels, valid = project(np.array([[1.0, 2.0, 2.0]]), identity_calib())
     assert valid[0]

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 from fusionpose import autodiff as ad
 from fusionpose.errors import ConfigError, DimensionError
 from fusionpose.geometry import N_JOINTS, project
-from fusionpose.model import (FUSION_VARIANTS, FusionPoseModel, ModelConfig,
-                              ModelFrame, build_model, lookup_weights)
+from fusionpose.model import (FUSION_VARIANTS, Attention, FusionPoseModel,
+                              ModelConfig, ModelFrame, build_model, lookup_weights)
+from fusionpose.params import ParameterStore
 from fusionpose.synthdata.generate import default_calibration
 
 CALIB = default_calibration(96, 96)
@@ -66,13 +68,43 @@ def test_identical_image_tokens_give_query_independent_weighting():
     model, _ = build_model(cfg, seed=2)
     fp = ad.Tensor(np.random.default_rng(0).normal(size=(cfg.n_points, cfg.width)))
     fi = ad.Tensor(np.tile(np.random.default_rng(1).normal(size=(1, cfg.width)), (6, 1)))
-    q = ad.matmul(fp, model.fusion.wq)
-    k = ad.matmul(fi, model.fusion.wk)
-    v = ad.matmul(fi, model.fusion.wv)
-    att = ad.softmax(ad.scale(ad.matmul(q, ad.transpose(k)), model.fusion.scale))
-    weighted = ad.matmul(att, v).data
-    np.testing.assert_allclose(weighted, np.tile(v.data[0], (cfg.n_points, 1)),
+    weighted, _, _ = model.fusion.attn(fp, fi)
+    v = fi.data[:1] @ model.fusion.attn.wv.data
+    np.testing.assert_allclose(weighted.data, np.tile(v, (cfg.n_points, 1)),
                                atol=1e-12)
+
+
+def test_attention_matches_written_out_softmax_reference():
+    store = ParameterStore(seed=5)
+    attn = Attention(store, "attn", 8)
+    rng = np.random.default_rng(6)
+    x, context = rng.normal(size=(5, 8)), rng.normal(size=(3, 8))
+    for keys in (x, context):
+        values, affinity, queries = attn(ad.Tensor(x), ad.Tensor(keys))
+        q = x @ store["attn.q"].data
+        k, v = keys @ store["attn.k"].data, keys @ store["attn.v"].data
+        logits = q @ k.T / np.sqrt(8)
+        weights = np.exp(logits - logits.max(axis=1, keepdims=True))
+        weights /= weights.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(queries.data, q, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(affinity.data, weights, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(values.data, weights @ v, rtol=1e-12, atol=1e-12)
+
+
+def test_attention_parameters_keep_their_paths_and_creation_order():
+    _, store = build_model(tiny_config(), seed=0)
+    created = [p for p in store._params if ".attn." in p or p.startswith("fuse.")]
+    assert created == [
+        "point.attn.q", "point.attn.k", "point.attn.v",
+        "image.attn.q", "image.attn.k", "image.attn.v",
+        "fuse.q", "fuse.k", "fuse.v", "fuse.proj0.w", "fuse.proj0.b",
+        "fuse.proj1.w", "fuse.proj1.b", "fuse.ln1.gain", "fuse.ln1.bias",
+        "fuse.ffn0.w", "fuse.ffn0.b", "fuse.ffn1.w", "fuse.ffn1.b",
+        "fuse.ln2.gain", "fuse.ln2.bias"]
+    order = list(store._params)
+    assert order.index("point.attn.q") == order.index("point.reduce.b") + 1
+    assert order.index("image.attn.q") == order.index("image.mix1.b") + 1
+    assert order.index("fuse.q") == order.index("image.ln.bias") + 1
 
 
 def test_point_encoder_permutation_equivariance():
@@ -116,7 +148,7 @@ def test_malformed_points_raise_dimension_error():
     model, _ = build_model(cfg, seed=8)
     for points in (np.zeros((5, 2)), np.zeros((0, 3))):
         frames = make_frames(cfg)
-        frames[0].points = points
+        frames[0] = dataclasses.replace(frames[0], points=points)
         with pytest.raises(DimensionError):
             model.forward(frames)
 
@@ -252,7 +284,7 @@ def test_perturbing_last_frame_changes_first_frame_output():
     model, _ = build_model(cfg, seed=14)
     frames = make_frames(cfg, seed=15)
     base = model.forward(frames)[0].final_pose.data
-    frames[-1].points = frames[-1].points + 0.25
+    frames[-1] = dataclasses.replace(frames[-1], points=frames[-1].points + 0.25)
     changed = model.forward(frames)[0].final_pose.data
     assert np.abs(changed - base).max() > 0.0
 
@@ -264,7 +296,7 @@ def test_every_frame_depends_on_every_other_frame():
     base = [o.final_pose.data.copy() for o in model.forward(frames)]
     for perturb_t in range(cfg.window):
         mod = make_frames(cfg, seed=17)
-        mod[perturb_t].points = mod[perturb_t].points + 0.3
+        mod[perturb_t] = dataclasses.replace(mod[perturb_t], points=mod[perturb_t].points + 0.3)
         outs = model.forward(mod)
         for t in range(cfg.window):
             assert np.abs(outs[t].final_pose.data - base[t]).max() > 0.0, \

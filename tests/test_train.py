@@ -1,5 +1,7 @@
 """Segment batches and the three-phase batch gradient of ``train``."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,20 @@ def test_window_stride_4_trains(tiny):
     assert len(rows) == 2 and all(np.isfinite(r["total"]) for r in rows)
     assert trainer.state.step == sum(len(trainer.epoch_batches(e)) for e in range(2))
     assert any(np.abs(t.data - before[p]).max() > 0 for p, t in store.items())
+
+
+def test_a_training_step_leaves_the_stored_inputs_untouched(tiny):
+    cfg, data = tiny
+    model, store = build_model(cfg.model_config(), seed=cfg.seed)
+    batch = overlapping_batch(data)
+    inputs = [fs.model_input for s in batch for fs in s.frames]
+    before = [(mf.points.tobytes(), mf.raster.tobytes(), mf.box_center.tobytes())
+              for mf in inputs]
+    batch_gradients(model, store, data, batch, cfg.loss_weights(), cfg.bone_samples)
+    assert [(mf.points.tobytes(), mf.raster.tobytes(), mf.box_center.tobytes())
+            for mf in inputs] == before
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inputs[0].points = inputs[0].points + 1.0
 
 
 def test_segment_batch_gradients_are_deterministic(tiny):
