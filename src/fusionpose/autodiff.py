@@ -449,8 +449,8 @@ def im2col(x, kernel: int, stride: int, pad: int) -> Tensor:
     out = flat[idx]
 
     def vjp(g, idx=idx, c=c, h=h, w=w):
-        acc = np.zeros(c * h * w + 1)
-        np.add.at(acc, idx, g)
+        # bincount sums in the same order as np.add.at, many times faster
+        acc = np.bincount(idx.ravel(), weights=g.ravel(), minlength=c * h * w + 1)
         return acc[:-1].reshape(c, h, w)
 
     return _apply(out, (x, vjp))

@@ -92,10 +92,10 @@ def cmd_eval(args) -> int:
     cfg = load_config(args.config)
     mode = "oracle" if args.oracle else ("baseline" if args.baseline else "model")
     model = _trained_model(cfg, args.checkpoint) if mode == "model" else None
+    out = _out_path(cfg, args.out, f"metrics_{args.split}.csv")
     report, windows = evaluate_dataset(model, _dataset(cfg, args.split), args.split,
                                        cfg.bone_samples, cfg.squared_cd,
                                        mode=mode)
-    out = _out_path(cfg, args.out, f"metrics_{args.split}.csv")
     report.write_csv(out)
     write_window_scores(windows, out.with_name(out.stem + "_windows.csv"))
     print(f"split={report.split} pck={report.pck:.2f} mpjpe_mm={report.mpjpe_mm:.2f} "
@@ -108,8 +108,8 @@ def cmd_ablate(args) -> int:
     cfg = load_config(args.config)
     model = (_trained_model(cfg, args.checkpoint)
              if args.study in ("density", "occlusion") else None)
-    rows = run_study(cfg, args.study, model=model)
     out = _out_path(cfg, args.out, f"ablation_{args.study}.csv")
+    rows = run_study(cfg, args.study, model=model)
     write_study_csv(rows, out)
     for r in rows:
         print(f"{r.study}/{r.arm}: pck={r.pck:.2f} mpjpe_mm={r.mpjpe_mm:.2f} "

@@ -4,7 +4,11 @@ All loss functions return scalar autodiff tensors. Joints that cannot be
 supervised (invisible in 2D, or behind the camera) are removed from
 the graph before any division, so no non-finite value ever reaches the
 tape. The per-joint norm is the Euclidean norm averaged over the
-supervisable joint count.
+supervisable joint count of its frame.
+
+The motion, consistency and projection terms take F frames (or F
+windows' frames) stacked in row blocks of ``N_JOINTS`` and return the
+sum of the per-frame terms; one frame is the F = 1 case.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, InvalidInputError
-from .geometry import Z_MIN, Calibration, interpolation_matrix
+from .geometry import N_JOINTS, Z_MIN, Calibration, interpolation_matrix
 
 log = logging.getLogger(__name__)
 
@@ -47,21 +51,36 @@ def _zero() -> ad.Tensor:
     return ad.Tensor(np.zeros(()))
 
 
+def _frame_weights(mask: np.ndarray, loss: str, joints: str) -> np.ndarray | None:
+    """Weight 1/n of each masked-in row, n the masked-in count of its frame.
+
+    ``mask`` covers frames stacked in blocks of ``N_JOINTS`` rows. A
+    frame with no masked-in row has no weight, so it adds exactly 0;
+    None when no frame has one.
+    """
+    counts = mask.reshape(-1, N_JOINTS).sum(axis=1)
+    if not counts.all():
+        log.warning("%s: %d of %d frames have no %s, contributing 0",
+                    loss, int((counts == 0).sum()), len(counts), joints)
+    if not counts.any():
+        return None
+    return np.repeat(1.0 / np.maximum(counts, 1), N_JOINTS)[mask]
+
+
 def motion_loss(pred_motion, kp_t, kp_prev) -> ad.Tensor:
     """Mean distance between predicted and observed 2D keypoint motion.
 
     The target is the pixel displacement between consecutive frames;
-    joints invisible in either frame are masked out and the mean runs
-    over the remaining count.
+    joints invisible in either frame are masked out and each frame's
+    mean runs over its remaining count.
     """
     mask = kp_t.visibility & kp_prev.visibility
-    n = int(mask.sum())
-    if n == 0:
-        log.warning("motion_loss: no jointly visible joints, contributing 0")
+    weights = _frame_weights(mask, "motion_loss", "jointly visible joints")
+    if weights is None:
         return _zero()
     target = (kp_t.joints - kp_prev.joints)[mask]
     diff = ad.sub(_select_rows(pred_motion, mask), target)
-    return ad.scale(ad.sum_all(ad.rownorm(diff)), 1.0 / n)
+    return ad.sum_all(ad.mul(ad.rownorm(diff), weights))
 
 
 def consistency_loss(features: list, target: np.ndarray | None = None) -> ad.Tensor:
@@ -71,17 +90,17 @@ def consistency_loss(features: list, target: np.ndarray | None = None) -> ad.Ten
     flows through it), which rules out the trivial collapse where the
     mean chases the features. Gradient checks must therefore bind the
     frozen mean explicitly via ``target``; by default it is recomputed
-    from the current features each call.
+    from the current features each call. Rows stacking several windows
+    align across frames, so each window is pulled toward its own mean.
     """
     if len(features) < 2:
         raise ConfigError("consistency_loss needs at least 2 frames")
-    k = features[0].shape[0]
     mean_target = target if target is not None \
         else np.mean([f.data for f in features], axis=0)
     total = _zero()
     for f in features:
         per_joint = ad.rownorm(ad.sub(f, mean_target))
-        total = ad.add(total, ad.scale(ad.sum_all(per_joint), 1.0 / k))
+        total = ad.add(total, ad.scale(ad.sum_all(per_joint), 1.0 / N_JOINTS))
     return ad.scale(total, 1.0 / len(features))
 
 
@@ -103,7 +122,8 @@ def projection_loss(pred_pose, kp: "Pose2D", calib: Calibration) -> ad.Tensor:
     """Mean pixel distance between projected 3D joints and 2D keypoints.
 
     Joints invisible in 2D or currently behind the camera are masked
-    (the latter with a warning); perturbing a joint along its camera ray
+    (the latter with a warning), and each frame's mean runs over its
+    remaining count; perturbing a joint along its camera ray
     leaves this loss unchanged, which is exactly the depth ambiguity the
     Chamfer term resolves.
     """
@@ -112,13 +132,12 @@ def projection_loss(pred_pose, kp: "Pose2D", calib: Calibration) -> ad.Tensor:
     if kp.visibility.any() and not in_front[kp.visibility].all():
         log.warning("projection_loss: masking joints behind the camera")
     mask = kp.visibility & in_front
-    n = int(mask.sum())
-    if n == 0:
-        log.warning("projection_loss: no usable joints, contributing 0")
+    weights = _frame_weights(mask, "projection_loss", "usable joints")
+    if weights is None:
         return _zero()
     pixels = project_rows(_select_rows(pred_pose, mask), calib)
     diff = ad.sub(pixels, kp.joints[mask])
-    return ad.scale(ad.sum_all(ad.rownorm(diff)), 1.0 / n)
+    return ad.sum_all(ad.mul(ad.rownorm(diff), weights))
 
 
 def chamfer(a, b) -> ad.Tensor:

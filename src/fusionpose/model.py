@@ -204,8 +204,9 @@ class CrossAttentionFusion:
 
 
 class TemporalEstimator:
-    """Bi-GRU across the window's pooled frame features, three MLP heads,
-    and the per-joint combiner producing the final pose."""
+    """Bi-GRU across each window's pooled frame features, three MLP heads,
+    and the per-joint combiner producing the final pose. Training runs a
+    segment's windows through it together; ``forward`` is one window."""
 
     _GATES = ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")
 
@@ -235,7 +236,7 @@ class TemporalEstimator:
 
     def _run_gru(self, inputs, direction: str):
         p = self.gru[direction]
-        h = ad.Tensor(np.zeros((1, self.cfg.gru_hidden)))
+        h = ad.Tensor(np.zeros((inputs[0].shape[0], self.cfg.gru_hidden)))
         states = []
         for x in inputs:
             h = ad.gru_cell(x, h, p["wz"], p["uz"], p["bz"],
@@ -245,18 +246,27 @@ class TemporalEstimator:
         return states
 
     def __call__(self, pooled, box_centers) -> list[FrameOutput]:
+        """Outputs of B windows run side by side.
+
+        ``pooled[t]`` holds the B windows' pooled features of frame t as
+        (B, width) rows and ``box_centers[t]`` their (B, 3) box centers
+        (a (3,) center when B = 1). Each output stacks the windows' k
+        joint rows window-major: rows b*k .. (b+1)*k - 1 are window b.
+        """
         k, c = N_JOINTS, self.cfg.joint_feat_dim
         fwd = self._run_gru(pooled, "fwd")
         bwd = self._run_gru(pooled[::-1], "bwd")[::-1]
         outputs = []
         for t, center in enumerate(box_centers):
             feat = ad.concat([fwd[t], bwd[t]], axis=1)
-            motion = ad.reshape(self.motion1(ad.relu(self.motion0(feat))), (k, 2))
-            offsets = ad.reshape(self.position1(ad.relu(self.position0(feat))), (k, 3))
-            jfeat = ad.reshape(self.feature1(ad.relu(self.feature0(feat))), (k, c))
+            rows = feat.shape[0] * k
+            motion = ad.reshape(self.motion1(ad.relu(self.motion0(feat))), (rows, 2))
+            offsets = ad.reshape(self.position1(ad.relu(self.position0(feat))), (rows, 3))
+            jfeat = ad.reshape(self.feature1(ad.relu(self.feature0(feat))), (rows, c))
             delta = self.combine1(ad.relu(self.combine0(
                 ad.concat([jfeat, offsets], axis=1))))
-            center = np.asarray(center, dtype=np.float64)
+            center = np.repeat(np.reshape(np.asarray(center, dtype=np.float64), (-1, 3)),
+                               k, axis=0)
             positions = ad.add(offsets, center)
             final = ad.add(ad.add(offsets, delta), center)
             outputs.append(FrameOutput(motion, positions, jfeat, final))
@@ -368,9 +378,9 @@ class FusionPoseModel:
 
     def forward(self, frames: list[ModelFrame],
                 encoded: list[ad.Tensor] | None = None) -> list[FrameOutput]:
-        """Outputs of one window. ``encoded`` holds each frame's
-        ``encode`` result when the caller has them already; without it
-        every frame is encoded here."""
+        """Outputs of one window, the temporal estimator's B = 1 case.
+        ``encoded`` holds each frame's ``encode`` result when the caller
+        has them already; without it every frame is encoded here."""
         if len(frames) != self.cfg.window:
             raise DimensionError(
                 f"expected {self.cfg.window} frames, got {len(frames)}")

@@ -8,9 +8,11 @@ run because the batches are derived from (seed, epoch).
 
 A batch is a segment of consecutive windows of one tracked person, so
 its windows share frames. Each distinct frame is encoded once per step,
-and its encoder tape is rebuilt in the backward pass one frame at a
-time (frame-level gradient checkpointing), so the memory of a step is
-one frame's encoder tape plus the batch's temporal part and losses.
+the temporal part and the losses run once over all the batch's
+windows, and each frame's encoder tape is rebuilt in the backward pass
+one frame at a time (frame-level gradient checkpointing), so the memory
+of a step is one frame's encoder tape plus the batch's temporal part
+and losses.
 """
 
 from __future__ import annotations
@@ -28,10 +30,11 @@ from . import autodiff as ad
 from .config import RunConfig
 from .dataio import InstanceDataset, InstanceSample
 from .errors import CheckpointMismatchError, InvalidInputError
+from .geometry import N_JOINTS, Pose2D
 from .gtguard import GT_GUARD
 from .losses import (LossWeights, chamfer_agu_loss, consistency_loss,
                      motion_loss, projection_loss, total_loss)
-from .model import FUSION_VARIANTS, FusionPoseModel, ModelConfig
+from .model import FUSION_VARIANTS, FusionPoseModel, ModelConfig, ModelFrame
 from .params import Adam, ParameterStore
 from .synthdata.generate import child_seed
 
@@ -62,37 +65,62 @@ def _sum(terms: list[ad.Tensor]) -> ad.Tensor:
     return functools.reduce(ad.add, terms)
 
 
-def sequence_loss(model: FusionPoseModel, frames, sample: InstanceSample,
-                  weights: LossWeights, bone_samples: int,
-                  encoded: list[ad.Tensor] | None = None):
-    """Total weighted loss of one instance window plus component values.
+def _stack(poses: list[Pose2D]) -> Pose2D:
+    """Keypoints of several frames stacked in row blocks of ``N_JOINTS``."""
+    return Pose2D(np.concatenate([p.joints for p in poses]),
+                  np.concatenate([p.visibility for p in poses]))
 
-    ``encoded`` holds the frames' pooled features when the caller has
-    them already (see ``FusionPoseModel.forward``).
+
+def sequence_loss(model: FusionPoseModel, windows: list[list[ModelFrame]],
+                  samples: list[InstanceSample], weights: LossWeights,
+                  bone_samples: int, encoded: list[list[ad.Tensor]]):
+    """Mean weighted loss over a segment's windows plus mean component values.
+
+    ``windows[b]`` holds the network inputs of ``samples[b]`` and
+    ``encoded[b]`` their pooled features. The temporal estimator runs
+    once over the B windows, so each frame step t gives (B*k, .) rows,
+    window-major. The motion term runs once per step on them, the
+    consistency term once on all steps, the projection term once per
+    (t, calibration), and Chamfer once per (window, t), because the
+    clouds are ragged.
     """
-    outs = model.forward(frames, encoded)
+    n, k, steps = len(windows), N_JOINTS, range(len(windows[0]))
+    outs = model.temporal(
+        [ad.concat([enc[t] for enc in encoded], axis=0) for t in steps],
+        [np.stack([window[t].box_center for window in windows]) for t in steps])
+    kps = [_stack([sample.frames[t].kp for sample in samples]) for t in steps]
     components: dict[str, ad.Tensor] = {}
 
-    components["motion"] = _sum([motion_loss(outs[t].motion, sample.frames[t].kp,
-                                             sample.frames[t - 1].kp)
-                                 for t in range(1, len(outs))])
+    components["motion"] = _sum([motion_loss(outs[t].motion, kps[t], kps[t - 1])
+                                 for t in steps[1:]])
 
     consistency = consistency_loss([o.features for o in outs])
     components["consistency"] = ad.scale(consistency, float(len(outs)))
 
-    components["proj"] = _sum([projection_loss(outs[t].final_pose, sample.frames[t].kp,
-                                               frames[t].calib)
-                               for t in range(len(outs))])
+    proj = []
+    for t in steps:
+        # windows of one segment share a calibration; Trainer.overfit's may not
+        by_calib: dict[int, list[int]] = {}
+        for b, window in enumerate(windows):
+            by_calib.setdefault(id(window[t].calib), []).append(b)
+        for group in by_calib.values():
+            pose = outs[t].final_pose if len(group) == n else ad.concat(
+                [ad.narrow(outs[t].final_pose, 0, b * k, k) for b in group])
+            proj.append(projection_loss(
+                pose, _stack([samples[b].frames[t].kp for b in group]),
+                windows[group[0]][t].calib))
+    components["proj"] = _sum(proj)
 
-    components["cd_agu"] = _sum([chamfer_agu_loss(outs[t].final_pose,
-                                                  frames[t].points + frames[t].box_center,
-                                                  bone_samples)
-                                 for t in range(len(outs))])
+    components["cd_agu"] = _sum([
+        chamfer_agu_loss(ad.narrow(outs[t].final_pose, 0, b * k, k),
+                         window[t].points + window[t].box_center, bone_samples)
+        for b, window in enumerate(windows) for t in steps])
 
-    total = total_loss(components, weights)
-    values = {name: float(components[name].data) for name in LOSS_NAMES}
-    values["total"] = float(total.data)
-    return total, values
+    scale = 1.0 / n
+    mean = ad.scale(total_loss(components, weights), scale)
+    values = {name: float(components[name].data) * scale for name in LOSS_NAMES}
+    values["total"] = float(mean.data)
+    return mean, values
 
 
 def batch_gradients(model: FusionPoseModel, store: ParameterStore,
@@ -102,9 +130,9 @@ def batch_gradients(model: FusionPoseModel, store: ParameterStore,
 
     1. Every distinct FrameSample of the batch is encoded with no tape;
        its pooled feature becomes a leaf tensor.
-    2. One tape records the temporal part and the losses of every window
-       on those leaves; its backward gives the temporal, head and loss
-       gradients plus the gradient of each leaf.
+    2. One tape records ``sequence_loss`` of the whole batch on those
+       leaves; its backward gives the temporal, head and loss gradients
+       plus the gradient of each leaf.
     3. Each frame's encoder runs again on a tape of its own, and the
        leaf gradient is pushed back through it as the gradient of
        ``sum(pooled * leaf_grad)``.
@@ -114,36 +142,35 @@ def batch_gradients(model: FusionPoseModel, store: ParameterStore,
     frames = {id(f): f for window in inputs for f in window}
     pooled = {key: model.encode(frame) for key, frame in frames.items()}
 
-    scale = 1.0 / len(batch)
-    sums = {name: 0.0 for name in (*LOSS_NAMES, "total")}
-    totals = []
     with ad.Tape() as tape:
-        for sample, window in zip(batch, inputs):
-            total, values = sequence_loss(model, window, sample, weights,
-                                          bone_samples,
-                                          [pooled[id(f)] for f in window])
-            totals.append(total)
-            for name, v in values.items():
-                sums[name] += v
-        mean = ad.scale(_sum(totals), scale)
+        mean, means = sequence_loss(model, inputs, batch, weights, bone_samples,
+                                    [[pooled[id(f)] for f in window]
+                                     for window in inputs])
     # gradients of the parameters (keyed by path) and of each pooled
     # leaf (keyed like ``frames``)
     g = ad.backward(tape, mean, {**dict(store.items()), **pooled})
     tape.release()
     grads = {path: g[path] for path in store.paths() if path in g}
 
+    owned = set()  # paths whose array this step made, so adds go in place
     for key, frame in frames.items():
         if key not in g:
             continue  # the loss does not depend on this frame
         with ad.Tape() as tape:
             pushed = ad.sum_all(ad.mul(model.encode(frame), g[key]))
         for path, grad in ad.backward(tape, pushed, store).items():
-            grads[path] = grads[path] + grad if path in grads else grad
+            if path in owned:
+                np.add(grads[path], grad, out=grads[path])
+            elif path in grads:  # a tape's array may be a view: copy on first add
+                grads[path] = grads[path] + grad
+                owned.add(path)
+            else:
+                grads[path] = grad
         tape.release()
     # parameters no tape reached (e.g. image.* under point_rgb) are zero
     grads = {path: grads[path] if path in grads else np.zeros_like(tensor.data)
              for path, tensor in store.items()}
-    return grads, {name: v * scale for name, v in sums.items()}
+    return grads, means
 
 
 # -- checkpoints --------------------------------------------------------------

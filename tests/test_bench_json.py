@@ -14,14 +14,14 @@ METRICS = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
 def _write_run(directory: Path, stem: str, workload: str, seed: int, trace: int,
                throughput: float, step_ms: float, host: str = "box",
-               correct: bool = True, failed: int = 0) -> None:
+               correct: bool = True, failed: int = 0, attempted: int = 50) -> None:
     """A fabricated result; metrics other than throughput and step p50 are fixed."""
     directory.mkdir(parents=True, exist_ok=True)
     values = {"setup_s": 0.5, "throughput_per_s": throughput, "step_ms_p50": step_ms,
               "step_ms_p90": 2 * step_ms, "peak_rss_mb": 100.0}
     result = {"workload": workload, "seed": seed, "trace": trace,
               "environment": {"host": host, "nproc": 2},
-              "correct": correct, "attempted": 50, "failed": failed,
+              "correct": correct, "attempted": attempted, "failed": failed,
               "end_to_end": {m["name"]: {"value": values[m["name"]], "unit": m["unit"],
                                          "samples": 1} for m in METRICS}}
     (directory / f"{stem}.json").write_text(json.dumps(result))
@@ -69,6 +69,7 @@ def test_pairs_by_workload_and_seed_with_direction(result_dirs):
     change_side = train["change"]
     assert (change_side["incorrect_runs"], change_side["failed"]) == (0, 0)
     assert change_side["attempted"] == 4 * 50
+    assert change_side["failure_share"] == 0.0 and not train["more_failures"]
     assert [(r["file"], r["correct"], r["failed"], r["paired"])
             for r in change_side["runs"]] == [
         ("train-seed1-b.json", False, 3, False), ("train-seed1-c.json", True, 0, True),
@@ -97,6 +98,30 @@ def test_cli_exits_1_when_a_paired_run_failed(result_dirs, tmp_path, capsys,
     written = json.loads(out.read_text())["workloads"]["train"]["parent"]
     assert (written["incorrect_runs"], written["failed"]) == (int(not correct), failed)
     assert "train parent" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("parent_failed,change_failed,change_attempted,more", [
+    (2, 2, 50, False),  # equal counts over equal attempts
+    (2, 4, 250, False),  # an equal share over twice the attempts
+    (2, 3, 50, True),
+    (0, 1, 100, True),
+    (3, 2, 50, False),
+])
+def test_more_failures_flags_a_larger_failure_share(result_dirs, tmp_path, capsys,
+                                                    parent_failed, change_failed,
+                                                    change_attempted, more):
+    parent, change = result_dirs
+    _write_run(parent, "train-seed3-b", "train", 3, 0, 11.0, 95.0, failed=parent_failed)
+    _write_run(change, "train-seed3-c", "train", 3, 0, 12.5, 95.0, "box2",
+               failed=change_failed, attempted=change_attempted)
+    out = tmp_path / "BENCH_0.json"
+    assert bench_json.main([str(parent), str(change), "--out", str(out)]) == 1
+    train = json.loads(out.read_text())["workloads"]["train"]
+    assert train["parent"]["failure_share"] == parent_failed / 200
+    assert train["change"]["failure_share"] == change_failed / (150 + change_attempted)
+    assert train["more_failures"] is more
+    err = capsys.readouterr().err
+    assert ("larger share of operations than the parent: train" in err) is more
 
 
 def test_cli_exits_2_without_a_common_workload(tmp_path, capsys):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fusionpose
-from fusionpose import train
+from fusionpose import cli, train
 from fusionpose.cli import main
 from fusionpose.config import load_config
 from fusionpose.dataio import InstanceDataset, load_split
@@ -387,6 +387,27 @@ def test_paths_the_os_refuses_exit_2(workdir, tmp_path, capsys, line, command):
                        + line.format(afile=afile) + "\n")  # a later key wins
     argv = [arg.format(afile=afile, tmp=tmp_path) for arg in command]
     assert main([*argv, "--config", str(cfgfile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fusionpose: error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", [["eval", "--baseline"], ["ablate", "--study", "density"]],
+                         ids=["eval", "ablate"])
+def test_a_refused_out_path_fails_before_the_work(workdir, tmp_path, capsys, monkeypatch,
+                                                  command):
+    def the_work(*args, **kwargs):
+        raise AssertionError("the pass ran before --out was resolved")
+
+    monkeypatch.setattr(cli, "evaluate_dataset", the_work)
+    monkeypatch.setattr(cli, "run_study", the_work)
+    cfg = load_config(cfg_path(workdir))
+    _, store = build_model(cfg.model_config(), cfg.seed)
+    checkpoint = tmp_path / "epoch_000.fpck"
+    save_checkpoint(store, checkpoint, cfg.model_config(), TrainState(seed=cfg.seed))
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n")
+    assert main([*command, "--config", cfg_path(workdir), "--checkpoint", str(checkpoint),
+                 "--out", str(afile / "x.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("fusionpose: error:") and len(err.strip().splitlines()) == 1
 

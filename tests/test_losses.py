@@ -88,6 +88,14 @@ def test_consistency_matches_direct_recomputation():
     assert got == pytest.approx(expected, rel=1e-12)
 
 
+def test_consistency_of_stacked_windows_sums_the_windows():
+    rng = np.random.default_rng(42)
+    windows = [[rng.normal(size=(K, 5)) for _ in range(4)] for _ in range(3)]
+    stacked = [ad.Tensor(np.concatenate([w[t] for w in windows])) for t in range(4)]
+    want = sum(float(consistency_loss([ad.Tensor(f) for f in w]).data) for w in windows)
+    assert float(consistency_loss(stacked).data) == pytest.approx(want, rel=1e-12)
+
+
 def test_consistency_requires_two_frames():
     with pytest.raises(ConfigError):
         consistency_loss([ad.Tensor(np.zeros((K, 4)))])
@@ -342,6 +350,44 @@ def test_consistency_gradient_with_bound_target():
             flat[i] = keep
             fd = (fp - fm) / (2 * h)
             assert abs(fd - gflat[i]) < 1e-4 * max(1.0, abs(fd)), (fi, i)
+
+
+def _stack(poses):
+    return Pose2D(np.concatenate([p.joints for p in poses]),
+                  np.concatenate([p.visibility for p in poses]))
+
+
+@pytest.mark.parametrize("term", ["motion", "projection"])
+def test_stacked_frames_sum_per_frame_means_and_an_unusable_frame_adds_zero(term):
+    rng = np.random.default_rng(41)
+    calib = default_calibration(96, 96)
+    preds = [make_pose_in_view(rng) if term == "projection" else rng.normal(size=(K, 2))
+             for _ in range(3)]
+    labels = [Pose2D(rng.normal(48, 10, size=(K, 2)), rng.random(K) > 0.3)
+              for _ in range(3)]
+    labels[1] = Pose2D(labels[1].joints, np.zeros(K, dtype=bool))
+    prev = all_visible(rng.normal(48, 10, size=(3 * K, 2)))
+
+    def loss(frames):
+        pred = ad.Tensor(np.concatenate([preds[f] for f in frames]))
+        kp = _stack([labels[f] for f in frames])
+        with ad.Tape() as tape:
+            if term == "projection":
+                value = projection_loss(pred, kp, calib)
+            else:
+                rows = np.concatenate([np.arange(f * K, (f + 1) * K) for f in frames])
+                value = motion_loss(pred, kp, Pose2D(prev.joints[rows],
+                                                     prev.visibility[rows]))
+        grad = tape.grad_for(tape.backward(value), pred)
+        tape.release()
+        return float(value.data), grad
+
+    per_frame = [loss([f])[0] for f in range(3)]
+    assert per_frame[1] == 0.0 and min(per_frame[0], per_frame[2]) > 0.0
+    stacked, grad = loss([0, 1, 2])
+    assert stacked == pytest.approx(sum(per_frame), rel=1e-12)
+    assert not grad[K:2 * K].any()
+    assert stacked == loss([0, 2])[0]  # exactly: the unusable frame adds 0
 
 
 def test_all_losses_nonnegative():

@@ -276,6 +276,26 @@ def test_forward_with_encoded_frames_matches_plain_forward():
         model.forward(frames, [model.encode(frames[0])])
 
 
+def test_a_window_in_a_batched_temporal_call_matches_its_own_forward():
+    cfg = tiny_config()
+    model, _ = build_model(cfg, seed=3)
+    windows = [make_frames(cfg, seed=10 + b, center=(6.0 + b, 0.5 * b, 1.0))
+               for b in range(3)]
+    encoded = [[model.encode(f) for f in window] for window in windows]
+    outs = model.temporal(
+        [ad.concat([enc[t] for enc in encoded], axis=0) for t in range(cfg.window)],
+        [np.stack([window[t].box_center for window in windows])
+         for t in range(cfg.window)])
+    k = N_JOINTS
+    for b, window in enumerate(windows):
+        for got, want in zip(outs, model.forward(window)):
+            for name in ("motion", "positions", "features", "final_pose"):
+                single, batched = getattr(want, name).data, getattr(got, name).data
+                assert single.shape[0] == k and batched.shape == (3 * k, single.shape[1])
+                np.testing.assert_allclose(batched[b * k:(b + 1) * k], single,
+                                           rtol=1e-12, atol=0, err_msg=name)
+
+
 # -- temporal behaviour ----------------------------------------------------------------
 
 

@@ -1,16 +1,22 @@
 """Segment batches and the three-phase batch gradient of ``train``."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionpose import autodiff as ad
 from fusionpose.config import parse_config_text
 from fusionpose.dataio import InstanceDataset, load_split
-from fusionpose.model import FusionPoseModel, build_model
+from fusionpose.geometry import Pose2D
+from fusionpose.losses import (chamfer_agu_loss, consistency_loss, motion_loss,
+                               projection_loss, total_loss)
+from fusionpose.model import FusionPoseModel, TemporalEstimator, build_model
 from fusionpose.synthdata.generate import generate_dataset
-from fusionpose.train import LOSS_NAMES, Trainer, batch_gradients, sequence_loss
+from fusionpose.train import LOSS_NAMES, Trainer, batch_gradients
 
 TINY_CFG = """
 seed = 3
@@ -38,18 +44,45 @@ def tiny(tmp_path_factory):
     return cfg, data
 
 
+def _sum(terms):
+    return functools.reduce(ad.add, terms)
+
+
+def window_loss(model, frames, sample, weights, bone_samples):
+    """Reference: the total weighted loss of one window on its own, every
+    loss term called once per frame."""
+    outs = model.forward(frames)
+    components = {}
+    components["motion"] = _sum([motion_loss(outs[t].motion, sample.frames[t].kp,
+                                             sample.frames[t - 1].kp)
+                                 for t in range(1, len(outs))])
+    consistency = consistency_loss([o.features for o in outs])
+    components["consistency"] = ad.scale(consistency, float(len(outs)))
+    components["proj"] = _sum([projection_loss(outs[t].final_pose, sample.frames[t].kp,
+                                               frames[t].calib)
+                               for t in range(len(outs))])
+    components["cd_agu"] = _sum([chamfer_agu_loss(outs[t].final_pose,
+                                                  frames[t].points + frames[t].box_center,
+                                                  bone_samples)
+                                 for t in range(len(outs))])
+    total = total_loss(components, weights)
+    values = {name: float(components[name].data) for name in LOSS_NAMES}
+    values["total"] = float(total.data)
+    return total, values
+
+
 def per_window_tapes(model, store, dataset, batch, weights, bone_samples):
     """Reference: one tape per window, every frame encoded on it."""
-    grads = None
+    grads = {path: np.zeros_like(tensor.data) for path, tensor in store.items()}
     sums = {name: 0.0 for name in (*LOSS_NAMES, "total")}
     for sample in batch:
         frames = dataset.model_frames(sample)
         with ad.Tape() as tape:
-            total, values = sequence_loss(model, frames, sample, weights,
-                                          bone_samples)
+            total, values = window_loss(model, frames, sample, weights,
+                                        bone_samples)
         g = ad.backward(tape, total, store)
         tape.release()
-        grads = g if grads is None else {p: grads[p] + g[p] for p in grads}
+        grads.update({p: grads[p] + g[p] for p in g})
         for name, v in values.items():
             sums[name] += v
     scale = 1.0 / len(batch)
@@ -71,7 +104,11 @@ def test_batch_gradients_match_per_window_tapes(tiny):
     args = (model, store, data, batch, cfg.loss_weights(), cfg.bone_samples)
     want, want_means = per_window_tapes(*args)
     got, got_means = batch_gradients(*args)
-    assert got_means == want_means
+    # the losses sum over the batch's windows in another order
+    assert got_means.keys() == want_means.keys()
+    for name in want_means:
+        np.testing.assert_allclose(got_means[name], want_means[name], rtol=1e-12,
+                                   atol=0, err_msg=name)
     assert got.keys() == want.keys()
     for path in want:
         np.testing.assert_allclose(got[path], want[path], rtol=1e-10, atol=0,
@@ -80,26 +117,78 @@ def test_batch_gradients_match_per_window_tapes(tiny):
                if p.startswith(("point.", "image.", "fuse")))
 
 
-def test_each_frame_encoded_twice_and_each_window_forwarded_once(tiny, monkeypatch):
+def _frame_case(frame_sample, draw):
+    """``frame_sample`` with drawn keypoint visibility, box center and calibration."""
+    mf, kp = frame_sample.model_input, frame_sample.kp
+    visibility = draw(st.sampled_from(["kept", "random", "none"]))
+    if visibility == "random":
+        kp = Pose2D(kp.joints, kp.visibility & (np.random.default_rng(
+            draw(st.integers(0, 2**16))).random(len(kp.visibility)) < 0.5))
+    elif visibility == "none":
+        kp = Pose2D(kp.joints, np.zeros_like(kp.visibility))
+    if draw(st.booleans()):  # move the crop behind the camera: camera z = -1
+        axis = mf.calib.rotation[2]
+        depth = axis @ mf.box_center + mf.calib.translation[2]
+        mf = dataclasses.replace(mf, box_center=mf.box_center - (depth + 1.0) * axis)
+    if draw(st.booleans()):  # an equal calibration that is another object
+        mf = dataclasses.replace(mf, calib=dataclasses.replace(mf.calib))
+    return dataclasses.replace(frame_sample, model_input=mf, kp=kp)
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=st.data())
+def test_segment_step_matches_per_window_tapes(tiny, case):
+    cfg, data = tiny
+    size = case.draw(st.integers(1, cfg.batch_size), label="B")
+    start = case.draw(st.integers(0, len(data.samples) - size), label="start")
+    windows = data.samples[start:start + size]
+    invisible = case.draw(st.booleans(), label="no usable joints anywhere")
+    changed = {}
+    for fs in (fs for s in windows for fs in s.frames):
+        if id(fs) not in changed:
+            changed[id(fs)] = _frame_case(fs, case.draw)
+            if invisible:
+                kp = changed[id(fs)].kp
+                changed[id(fs)].kp = Pose2D(kp.joints, np.zeros_like(kp.visibility))
+    batch = [dataclasses.replace(s, frames=[changed[id(fs)] for fs in s.frames])
+             for s in windows]
+    model, store = build_model(cfg.model_config(), 7)
+    args = (model, store, data, batch, cfg.loss_weights(), cfg.bone_samples)
+    want, want_means = per_window_tapes(*args)
+    got, got_means = batch_gradients(*args)
+    for name in want_means:
+        np.testing.assert_allclose(got_means[name], want_means[name], rtol=1e-12,
+                                   atol=0, err_msg=name)
+    for path in want:
+        # entries that cancel to far below their array's scale are judged at it
+        np.testing.assert_allclose(got[path], want[path], rtol=1e-10,
+                                   atol=1e-12 * np.abs(want[path]).max(), err_msg=path)
+    if invisible:  # frames with no usable joints add exactly 0
+        assert got_means["motion"] == got_means["proj"] == 0.0
+
+
+def test_each_frame_encoded_twice_and_the_batch_run_through_the_temporal_part_once(
+        tiny, monkeypatch):
     cfg, data = tiny
     model, store = build_model(cfg.model_config(), 7)
-    calls = {"fuse_frame": 0, "forward": 0}
+    calls = {"fuse_frame": 0, "forward": 0, "__call__": 0}
 
-    def counted(name):
-        original = getattr(FusionPoseModel, name)
+    def counted(cls, name):
+        original = getattr(cls, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
-        return wrapper
+        monkeypatch.setattr(cls, name, wrapper)
 
-    for name in calls:
-        monkeypatch.setattr(FusionPoseModel, name, counted(name))
+    counted(FusionPoseModel, "fuse_frame")
+    counted(FusionPoseModel, "forward")
+    counted(TemporalEstimator, "__call__")
     batch = overlapping_batch(data)
     batch_gradients(model, store, data, batch, cfg.loss_weights(), cfg.bone_samples)
     distinct = {id(fs) for s in batch for fs in s.frames}
     assert len(distinct) == cfg.window + len(batch) - 1
-    assert calls == {"fuse_frame": 2 * len(distinct), "forward": len(batch)}
+    assert calls == {"fuse_frame": 2 * len(distinct), "forward": 0, "__call__": 1}
 
 
 def test_epoch_batches_are_shuffled_track_segments(tiny):

@@ -11,9 +11,12 @@ workload and each end-to-end metric declared in the repo's
 ``BENCHMARK.json`` the output holds each side's median and quartiles, the
 number of pairs the change wins (ties count for neither side), the seeds
 and each side's environment blocks. Each side also lists every run file
-read, with its ``correct``, ``attempted`` and ``failed`` fields, and the
-totals over the paired runs. The exit status is 1 if a paired run failed
-its checks or any operation, so such a file is never mistaken for a clean
+read, with its ``correct``, ``attempted`` and ``failed`` fields, the
+totals over the paired runs and their ``failure_share`` (failed /
+attempted); ``more_failures`` is set when the change's share is larger
+than the parent's, which refuses a change whatever its speed. The exit
+status is 1 if a paired run failed its checks or any operation, or if
+``more_failures`` is set, so such a file is never mistaken for a clean
 comparison. Standard library only.
 """
 
@@ -69,9 +72,11 @@ def _side(runs: dict[tuple[str, int], list[dict]], workload: str,
               "paired": seed in seeds and run is reruns[-1]}
              for (w, seed), reruns in sorted(runs.items()) if w == workload
              for run in reruns]
+    attempted = sum(run["attempted"] for run in paired)
+    failed = sum(run["failed"] for run in paired)
     return {"incorrect_runs": sum(not run["correct"] for run in paired),
-            "attempted": sum(run["attempted"] for run in paired),
-            "failed": sum(run["failed"] for run in paired),
+            "attempted": attempted, "failed": failed,
+            "failure_share": failed / attempted if attempted else 0.0,
             "environment": _environments(paired), "runs": files}
 
 
@@ -94,6 +99,8 @@ def summarize(parent: dict[tuple[str, int], list[dict]],
             }
         entry["parent"] = _side(parent, workload, seeds)
         entry["change"] = _side(change, workload, seeds)
+        entry["more_failures"] = (entry["change"]["failure_share"]
+                                  > entry["parent"]["failure_share"])
         out[workload] = entry
     return out
 
@@ -115,14 +122,20 @@ def main(argv=None) -> int:
             print(f"{workload:<12} {name:<17} parent {m['parent']['median']:10.4f} "
                   f"change {m['change']['median']:10.4f} {m['unit']:<4} "
                   f"wins {m['change_wins']}/{entry['pairs']}")
+        print(f"{workload:<12} {'failed':<17} parent {entry['parent']['failed']}/"
+              f"{entry['parent']['attempted']} change {entry['change']['failed']}/"
+              f"{entry['change']['attempted']}")
     unclean = [f"{workload} {side}" for workload, entry in summary.items()
                for side in ("parent", "change")
                if entry[side]["incorrect_runs"] or entry[side]["failed"]]
     if unclean:
         print(f"bench_json: paired runs failed checks or operations: {', '.join(unclean)}",
               file=sys.stderr)
-        return 1
-    return 0
+    worse = [workload for workload, entry in summary.items() if entry["more_failures"]]
+    if worse:
+        print(f"bench_json: the change fails a larger share of operations than the "
+              f"parent: {', '.join(worse)}", file=sys.stderr)
+    return 1 if unclean or worse else 0
 
 
 if __name__ == "__main__":
