@@ -10,6 +10,7 @@ standing in for an off-the-shelf 2D pose network.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,40 +49,70 @@ class LidarConfig:
         if self.range_sigma_m < 0:
             raise InvalidInputError("range noise sigma must be >= 0")
 
+    @functools.lru_cache(maxsize=8)
     def ray_directions(self) -> np.ndarray:
-        """Unit directions for every (beam, azimuth) pair, (r, 3)."""
+        """Unit directions for every (beam, azimuth) pair, (r, 3).
+
+        Computed once per config and returned read-only.
+        """
         half_v = np.radians(self.vertical_fov_deg) / 2.0
         elev = np.linspace(-half_v, half_v, self.beams)
         n_az = max(1, int(round(self.azimuth_fov_deg / self.azimuth_step_deg)))
         az0 = np.radians(self.azimuth_center_deg - self.azimuth_fov_deg / 2.0)
         azim = az0 + np.radians(self.azimuth_step_deg) * np.arange(n_az)
         ee, aa = np.meshgrid(elev, azim, indexing="ij")
-        return np.stack([np.cos(ee) * np.cos(aa),
+        dirs = np.stack([np.cos(ee) * np.cos(aa),
                          np.cos(ee) * np.sin(aa),
                          np.sin(ee)], axis=-1).reshape(-1, 3)
+        dirs.flags.writeable = False
+        return dirs
 
 
-def _near_sphere(origin: np.ndarray, dirs: np.ndarray, centre: np.ndarray,
-                 radius: float) -> np.ndarray:
-    """Rows of ``dirs`` whose ray can reach the sphere (centre, radius).
+def _near_spheres(origin: np.ndarray, dirs: np.ndarray, centres: np.ndarray,
+                  radii: np.ndarray) -> np.ndarray:
+    """(spheres, rays) mask of the rays that can reach each sphere.
 
-    A ray is kept when its line passes within ``radius`` of the centre
-    and the sphere is not wholly behind the origin. A single row is
-    returned twice: numpy evaluates a one-row ``@`` with a dot product
-    instead of BLAS gemv, and the two can differ in the last bit.
+    A ray can reach a sphere when its line passes within the radius of
+    the centre and the sphere is not wholly behind the origin.
     """
-    w = centre - origin
-    proj = dirs @ w
-    rows = np.flatnonzero((proj >= -radius) & (w @ w - proj * proj <= radius * radius))
-    return np.repeat(rows, 2) if rows.size == 1 else rows
+    w = centres - origin
+    proj = w @ dirs.T
+    return ((proj >= -radii[:, None])
+            & ((w * w).sum(axis=1)[:, None] - proj * proj <= (radii * radii)[:, None]))
 
 
 def _keep_closer(best_t: np.ndarray, best_idx: np.ndarray, rows: np.ndarray,
-                 t: np.ndarray, idx: np.ndarray | int) -> None:
+                 t: np.ndarray, idx: np.ndarray) -> None:
     """Take hits strictly nearer than the best so far; ties keep the earlier index."""
     closer = t < best_t[rows]
     best_t[rows] = np.where(closer, t, best_t[rows])
     best_idx[rows] = np.where(closer, idx, best_idx[rows])
+
+
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x[i] @ y[i]`` for every row i, bit for bit as the 1-D ``@``.
+
+    A stacked (k, 1, 3) @ (k, 3, 1) matmul runs numpy's vector dot on
+    each pair of rows; a row-wise sum or ``einsum`` rounds differently.
+    """
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+def _slice_gemv(rows: np.ndarray, vecs: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """``rows[s:e] @ vecs[c]`` for each capsule c and its pairs s:e.
+
+    Each slice is one gemv, as when a capsule's candidate rays were
+    tested on their own, and a gemv row does not depend on the other
+    rows. numpy evaluates a one-row ``@`` with a dot product instead of
+    BLAS gemv, and the two can differ in the last bit, so a one-row
+    slice is computed twice.
+    """
+    out = np.empty(rows.shape[0])
+    for c in np.flatnonzero(bounds[1:] > bounds[:-1]):
+        s, e = bounds[c], bounds[c + 1]
+        block = rows[s:e] if e - s > 1 else np.repeat(rows[s:e], 2, axis=0)
+        out[s:e] = (block @ vecs[c])[:e - s]
+    return out
 
 
 def intersect_rays_capsules(origin: np.ndarray, dirs: np.ndarray,
@@ -90,54 +121,62 @@ def intersect_rays_capsules(origin: np.ndarray, dirs: np.ndarray,
     """First hit of unit-direction rays against a set of capsules.
 
     Returns (t, index): ray parameter of the nearest hit (inf for a
-    miss) and the capsule index that was hit (-1 for a miss). The test
-    covers the cylindrical band and both sphere caps; taking the minimum
-    over the three candidate sets yields the true entry point. Only rays
-    that can reach a capsule's bounding sphere are tested against it.
+    miss) and the capsule index that was hit (-1 for a miss; a tie goes
+    to the lower index). The test covers the cylindrical band and both
+    sphere caps; taking the minimum over the three candidate sets yields
+    the true entry point.
+
+    Only the (ray, capsule) pairs whose ray can reach the capsule's
+    bounding sphere are tested, all in one pass, capsule-major. A pair's
+    dot products with its capsule's vectors come from ``_row_dots`` and
+    ``_slice_gemv``, and every other step is elementwise, so each pair
+    gets the bits that testing one capsule against every ray would give.
     """
     origin = np.asarray(origin, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
     n_rays = dirs.shape[0]
-    best_t = np.full(n_rays, np.inf)
-    best_idx = np.full(n_rays, -1, dtype=np.int64)
-    for ci in range(seg_a.shape[0]):
-        a, b, r = seg_a[ci], seg_b[ci], radii[ci]
-        axis = b - a
-        length = np.linalg.norm(axis)
-        rows = _near_sphere(origin, dirs, (a + b) / 2.0, length / 2.0 + r + _MARGIN)
-        if rows.size == 0:
-            continue
-        d = dirs[rows]
-        t_cand = np.full(rows.size, np.inf)
-        if length > 1e-12:
-            u = axis / length
-            m = origin - a
-            m_par = m @ u
-            m_perp = m - m_par * u
-            qc = m_perp @ m_perp - r * r
-            d_par = d @ u
-            d_perp = d - d_par[:, None] * u
-            qa = (d_perp * d_perp).sum(axis=1)
-            qb = 2.0 * d_perp @ m_perp
-            disc = qb * qb - 4.0 * qa * qc
-            ok = (disc >= 0.0) & (qa > 1e-14)
-            sq = np.sqrt(np.where(ok, disc, 0.0))
-            t_cyl = np.where(ok, (-qb - sq) / (2.0 * np.where(ok, qa, 1.0)), np.inf)
-            s = m_par + np.where(ok, t_cyl, 0.0) * d_par
-            valid = ok & (t_cyl > _T_MIN) & (s >= 0.0) & (s <= length)
-            t_cand = np.where(valid, t_cyl, np.inf)
-        for cap in (a, b):
-            m = origin - cap
-            qb = 2.0 * d @ m
-            qc = m @ m - r * r
-            disc = qb * qb - 4.0 * qc
-            ok = disc >= 0.0
-            sq = np.sqrt(np.where(ok, disc, 0.0))
-            t_sph = np.where(ok, (-qb - sq) / 2.0, np.inf)
-            t_sph = np.where(t_sph > _T_MIN, t_sph, np.inf)
-            t_cand = np.minimum(t_cand, t_sph)
-        _keep_closer(best_t, best_idx, rows, t_cand, ci)
-    return best_t, best_idx
+    axis = seg_b - seg_a
+    length = np.sqrt(_row_dots(axis, axis))
+    cap, ray = np.nonzero(_near_spheres(origin, dirs, (seg_a + seg_b) / 2.0,
+                                        length / 2.0 + radii + _MARGIN))
+    if cap.size == 0:
+        return np.full(n_rays, np.inf), np.full(n_rays, -1, dtype=np.int64)
+    bounds = np.searchsorted(cap, np.arange(radii.shape[0] + 1))
+    d = dirs[ray]
+    # cylindrical band, for capsules longer than 1e-12
+    has_axis = length > 1e-12
+    u = axis / np.where(has_axis, length, 1.0)[:, None]
+    m = origin - seg_a
+    m_par = _row_dots(m, u)
+    m_perp = m - m_par[:, None] * u
+    qc = (_row_dots(m_perp, m_perp) - radii * radii)[cap]
+    d_par = _slice_gemv(d, u, bounds)
+    d_perp = d - d_par[:, None] * u[cap]
+    qa = (d_perp * d_perp).sum(axis=1)
+    qb = _slice_gemv(2.0 * d_perp, m_perp, bounds)
+    disc = qb * qb - 4.0 * qa * qc
+    ok = (disc >= 0.0) & (qa > 1e-14)
+    sq = np.sqrt(np.where(ok, disc, 0.0))
+    t_cyl = np.where(ok, (-qb - sq) / (2.0 * np.where(ok, qa, 1.0)), np.inf)
+    s = m_par[cap] + np.where(ok, t_cyl, 0.0) * d_par
+    valid = has_axis[cap] & ok & (t_cyl > _T_MIN) & (s >= 0.0) & (s <= length[cap])
+    t_pair = np.where(valid, t_cyl, np.inf)
+    # sphere caps
+    d2 = 2.0 * d
+    for ends in (seg_a, seg_b):
+        m = origin - ends
+        qb = _slice_gemv(d2, m, bounds)
+        qc = (_row_dots(m, m) - radii * radii)[cap]
+        disc = qb * qb - 4.0 * qc
+        ok = disc >= 0.0
+        sq = np.sqrt(np.where(ok, disc, 0.0))
+        t_sph = np.where(ok, (-qb - sq) / 2.0, np.inf)
+        t_pair = np.minimum(t_pair, np.where(t_sph > _T_MIN, t_sph, np.inf))
+    t_all = np.full((radii.shape[0], n_rays), np.inf)
+    t_all[cap, ray] = t_pair
+    idx = t_all.argmin(axis=0)  # the first of equal minima
+    t = t_all[idx, np.arange(n_rays)]
+    return t, np.where(np.isfinite(t), idx, -1)
 
 
 def _cast_rays(origin: np.ndarray, dirs: np.ndarray,
@@ -158,7 +197,7 @@ def _cast_rays(origin: np.ndarray, dirs: np.ndarray,
         ends = np.concatenate([seg_a, seg_b])
         centre = ends.mean(axis=0)
         radius = np.linalg.norm(ends - centre, axis=1).max() + radii.max() + _MARGIN
-        rows = _near_sphere(origin, dirs, centre, radius)
+        rows = np.flatnonzero(_near_spheres(origin, dirs, centre[None], np.array([radius]))[0])
         if rows.size:
             t_p, idx_p = intersect_rays_capsules(origin, dirs[rows], seg_a, seg_b, radii)
             _keep_closer(t, idx, rows, t_p, idx_p + first)
@@ -188,6 +227,23 @@ def simulate_lidar(posed: list[tuple[Pose3D, BodyModel]], cfg: LidarConfig,
     return points, owner[idx[keep]]
 
 
+@functools.lru_cache(maxsize=8)
+def _pixel_rays(intrinsics: tuple[float, float, float, float],
+                rotation: tuple[float, ...], height: int, width: int) -> np.ndarray:
+    """Unit world-frame directions through every pixel, (h * w, 3), read-only."""
+    fx, fy, cx, cy = intrinsics
+    us, vs = np.meshgrid(np.arange(width, dtype=np.float64),
+                         np.arange(height, dtype=np.float64))
+    cam_dirs = np.stack([(us.ravel() - cx) / fx,
+                         (vs.ravel() - cy) / fy,
+                         np.ones(us.size)], axis=1)
+    world_dirs = cam_dirs @ np.array(rotation).reshape(3, 3)  # R^T applied row-wise
+    norms = np.linalg.norm(world_dirs, axis=1, keepdims=True)
+    world_dirs = world_dirs / norms
+    world_dirs.flags.writeable = False
+    return world_dirs
+
+
 def render_raster(posed: list[tuple[Pose3D, BodyModel]], calib: Calibration,
                   height: int, width: int) -> np.ndarray:
     """Render the capsule scene into an (h, w, 3) float32 raster.
@@ -197,14 +253,8 @@ def render_raster(posed: list[tuple[Pose3D, BodyModel]], calib: Calibration,
     """
     if not posed:
         return np.zeros((height, width, 3), dtype=np.float32)
-    us, vs = np.meshgrid(np.arange(width, dtype=np.float64),
-                         np.arange(height, dtype=np.float64))
-    cam_dirs = np.stack([(us.ravel() - calib.cx) / calib.fx,
-                         (vs.ravel() - calib.cy) / calib.fy,
-                         np.ones(us.size)], axis=1)
-    world_dirs = cam_dirs @ calib.rotation  # R^T applied row-wise
-    norms = np.linalg.norm(world_dirs, axis=1, keepdims=True)
-    world_dirs = world_dirs / norms
+    world_dirs = _pixel_rays((calib.fx, calib.fy, calib.cx, calib.cy),
+                             tuple(calib.rotation.ravel()), height, width)
     origin = calib.camera_center_world()
     t, idx, owner = _cast_rays(origin, world_dirs, posed)
     hit = np.isfinite(t)

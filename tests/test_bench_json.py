@@ -130,3 +130,39 @@ def test_cli_exits_2_without_a_common_workload(tmp_path, capsys):
     assert bench_json.main([str(tmp_path / "p"), str(tmp_path / "c"),
                             "--out", str(tmp_path / "out.json")]) == 2
     assert not (tmp_path / "out.json").exists()
+
+
+def _write_digests(perfbench_dir: Path, stem: str, digests: dict) -> None:
+    (perfbench_dir / "digests").mkdir(parents=True, exist_ok=True)
+    (perfbench_dir / "digests" / f"{stem}.json").write_text(json.dumps(digests))
+
+
+def test_fpseq_identical_compares_both_trees_digests_seed_by_seed(tmp_path, capsys):
+    trees = {side: tmp_path / side / ".perfbench" for side in ("parent", "change")}
+    for root in trees.values():
+        for seed in range(1, 6):
+            _write_run(root / "results", f"ingest-seed{seed}", "ingest", seed, 0, 30.0, 20.0)
+    same = {"train_000.fpseq": "aa", "val_000.fpseq": "bb"}
+    other = {**same, "val_000.fpseq": "cc"}
+    # the digest file names start with each tree's own source fingerprint
+    _write_digests(trees["parent"], "0123-seed1", same)
+    _write_digests(trees["change"], "4567-seed1", same)
+    _write_digests(trees["parent"], "0123-seed2", same)
+    _write_digests(trees["change"], "4567-seed2", other)
+    _write_digests(trees["parent"], "0123-seed3", same)  # none on the change side
+    _write_digests(trees["parent"], "0123-seed4", same)
+    _write_digests(trees["change"], "4567-seed4", same)
+    _write_digests(trees["change"], "89ab-seed4", other)  # a second change source
+    # seed 5: no digests on either side
+    out = tmp_path / "BENCH_0.json"
+    assert bench_json.main([str(trees["parent"] / "results"),
+                            str(trees["change"] / "results"), "--out", str(out)]) == 0
+    ingest = json.loads(out.read_text())["workloads"]["ingest"]
+    assert ingest["seeds"] == [1, 2, 3, 4, 5]
+    assert ingest["fpseq_identical"] == [True, False, None, False, None]
+    assert "1/5 seeds, 2 differ, 2 without digests" in capsys.readouterr().out
+    # without digest folders every seed reads null
+    summary = bench_json.summarize(bench_json.load_runs(trees["parent"] / "results"),
+                                   bench_json.load_runs(trees["change"] / "results"),
+                                   METRICS)
+    assert summary["ingest"]["fpseq_identical"] == [None] * 5

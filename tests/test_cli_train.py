@@ -14,11 +14,15 @@ from fusionpose import cli, train
 from fusionpose.cli import main
 from fusionpose.config import load_config
 from fusionpose.dataio import InstanceDataset, load_split
-from fusionpose.errors import InvalidInputError
+from fusionpose.errors import FusionPoseError, InvalidInputError
 from fusionpose.evaluate import export_poses, read_exported_poses
 from fusionpose.metrics import pck
 from fusionpose.model import FusionPoseModel, build_model
 from fusionpose.params import ParameterStore
+from fusionpose.synthdata import (BodyModel, GaitAmplitudes, MotionScript, pose_at,
+                                  simulate_lidar)
+from fusionpose.synthdata.generate import (SceneConfig, child_seed,
+                                           default_calibration, generate_dataset)
 from fusionpose.synthdata.seqfile import read_sequence
 from fusionpose.train import (LOSS_NAMES, Trainer, TrainingAborted, TrainState,
                               latest_checkpoint, save_checkpoint)
@@ -631,3 +635,57 @@ def test_negative_env_seed_exits_2(tmp_path, capsys, monkeypatch):
     assert main(["generate", "--config", str(cfgfile)]) == 2
     assert "FUSIONPOSE_SEED" in capsys.readouterr().err
     assert not (tmp_path / "data").exists()
+
+
+def _finishes_or_fails_cleanly(argv, capsys) -> int:
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3)
+    if code:
+        assert err.startswith("fusionpose: error:") and len(err.strip().splitlines()) == 1
+    return code
+
+
+def test_people_leaving_the_view_finish_or_fail_cleanly(tmp_path, capsys):
+    # one person walks out of the LiDAR sector and the camera frustum;
+    # the other stands still behind the sensor
+    frames = 20
+    end = (frames - 1) / SceneConfig.frame_rate_hz
+    walker = MotionScript(((0.0, 6.0, -1.0), (end, 6.0, 11.0)))
+    behind = MotionScript(((0.0, -4.0, 0.0), (end, -4.0, 0.01)),
+                          amplitudes=GaitAmplitudes(0.0, 0.0, 0.0, 0.0))
+    scene = SceneConfig(persons=((BodyModel(), walker), (BodyModel(), behind)),
+                        frame_count=frames, raster_h=64, raster_w=64,
+                        calibration=default_calibration(64, 64), val_fraction=0.35,
+                        seed=3)
+    data = tmp_path / "data"
+    generate_dataset(scene, data)
+    written = [frame for split in ("train", "val")
+               for frame in read_sequence(data / f"{split}_000.fpseq").frames]
+    hits = []
+    for f, frame in enumerate(written):
+        posed = [(pose_at(script, body, f / scene.frame_rate_hz), body)
+                 for body, script in scene.persons]
+        _, labels = simulate_lidar(posed, scene.lidar, seed=child_seed(scene.seed, 1, f))
+        hits.append(np.bincount(labels, minlength=2))
+        for pid, person in enumerate(frame.persons):
+            assert (person.det3d is None) == (hits[-1][pid] == 0)
+    hits = np.array(hits)
+    assert hits[0, 0] > 0 and hits[-1, 0] == 0 and not hits[:, 1].any()
+    assert written[0].raster[..., 1].any() and not written[-1].raster[..., 1].any()
+
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(TINY_CFG.replace("paths.dataset_dir = data",
+                                        f"paths.dataset_dir = {data}"))
+    cfg = load_config(cfgfile)
+    for split in ("train", "val"):
+        try:
+            dataset = InstanceDataset(load_split(data, split), cfg.model_config(),
+                                      cfg.iou_threshold, cfg.gate_distance,
+                                      cfg.max_misses)
+        except FusionPoseError:
+            continue
+        assert dataset.samples
+    trained = _finishes_or_fails_cleanly(["train", "--config", str(cfgfile)], capsys) == 0
+    for extra in [["--oracle"], ["--baseline"]] + [[]] * trained:
+        _finishes_or_fails_cleanly(["eval", "--config", str(cfgfile), *extra], capsys)

@@ -12,6 +12,7 @@ from fusionpose.synthdata.body import capsules_for
 from fusionpose.synthdata.generate import (SceneConfig, default_calibration,
                                            default_scene, generate_dataset,
                                            simulate_frames)
+from fusionpose.synthdata import sensors
 from fusionpose.synthdata.sensors import _cast_rays, intersect_rays_capsules
 
 
@@ -72,6 +73,7 @@ def test_body_scale_bounds():
 # -- lidar ------------------------------------------------------------------------
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_vertical_capsule_hit_range():
     radius = 0.15
     a = np.array([[5.0, 0.0, 0.0]])
@@ -83,6 +85,7 @@ def test_vertical_capsule_hit_range():
     assert abs(t[0] - (5.0 - radius)) < 1e-9
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_miss_returns_infinite_range():
     a = np.array([[5.0, 10.0, 0.0]])
     b = np.array([[5.0, 10.0, 3.0]])
@@ -201,6 +204,7 @@ def random_capsule_scene(rng):
     return origin, dirs[rng.permutation(len(dirs))], seg_a, seg_b, radii
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_culled_intersection_is_bit_identical_to_all_pairs():
     rng = np.random.default_rng(2024)
     hits = 0
@@ -214,6 +218,7 @@ def test_culled_intersection_is_bit_identical_to_all_pairs():
     assert hits > 1000
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_one_candidate_ray_matches_all_pairs():
     rng = np.random.default_rng(5)
     for _ in range(200):
@@ -228,6 +233,7 @@ def test_one_candidate_ray_matches_all_pairs():
         np.testing.assert_array_equal(got[1], ref[1])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cast_rays_is_bit_identical_to_all_pairs():
     rng = np.random.default_rng(7)
     body = BodyModel()
@@ -440,6 +446,20 @@ def test_generate_dataset_is_byte_identical(tmp_path):
     for name in names:
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_generated_files_match_testing_every_ray_against_every_capsule(tmp_path,
+                                                                       monkeypatch):
+    cfg = small_scene()
+    generate_dataset(cfg, tmp_path / "culled")
+    monkeypatch.setattr(sensors, "intersect_rays_capsules", all_pairs_reference)
+    generate_dataset(cfg, tmp_path / "all_pairs")
+    names = sorted(p.name for p in (tmp_path / "culled").iterdir())
+    for name in names:
+        assert (tmp_path / "culled" / name).read_bytes() == \
+            (tmp_path / "all_pairs" / name).read_bytes()
+    assert read_sequence(tmp_path / "culled" / "train_000.fpseq").frames[0].points.size
 
 
 def test_sequence_round_trip_is_exact(tmp_path):

@@ -14,7 +14,11 @@ and each side's environment blocks. Each side also lists every run file
 read, with its ``correct``, ``attempted`` and ``failed`` fields, the
 totals over the paired runs and their ``failure_share`` (failed /
 attempted); ``more_failures`` is set when the change's share is larger
-than the parent's, which refuses a change whatever its speed. The exit
+than the parent's, which refuses a change whatever its speed.
+``fpseq_identical`` lists, seed by seed, whether the ``.fpseq`` digests
+that perfbench recorded beside each results directory
+(``.perfbench/digests/<source>-seed<N>.json``) agree across the two
+trees: null where a tree recorded none at that seed. The exit
 status is 1 if a paired run failed its checks or any operation, or if
 ``more_failures`` is set, so such a file is never mistaken for a clean
 comparison. Standard library only.
@@ -44,6 +48,26 @@ def load_runs(results_dir: Path) -> dict[tuple[str, int], list[dict]]:
             result["file"] = path.name
             runs.setdefault((result["workload"], result["seed"]), []).append(result)
     return runs
+
+
+def load_digests(results_dir: Path) -> dict[int, list[dict]]:
+    """The .fpseq digest records of one tree by seed.
+
+    perfbench writes one record per source tree and seed into the
+    ``digests`` folder beside ``results``.
+    """
+    digests: dict[int, list[dict]] = {}
+    for path in sorted((results_dir.parent / "digests").glob("*-seed*.json")):
+        seed = int(path.stem.rsplit("-seed", 1)[1])
+        digests.setdefault(seed, []).append(json.loads(path.read_text()))
+    return digests
+
+
+def fpseq_identical(parent: list[dict], change: list[dict]) -> bool | None:
+    """Whether every record of one seed agrees across both trees; None if a tree has none."""
+    if not parent or not change:
+        return None
+    return all(record == parent[0] for record in parent + change)
 
 
 def spread(values: list[float]) -> dict:
@@ -81,8 +105,11 @@ def _side(runs: dict[tuple[str, int], list[dict]], workload: str,
 
 
 def summarize(parent: dict[tuple[str, int], list[dict]],
-              change: dict[tuple[str, int], list[dict]], metrics: list[dict]) -> dict:
+              change: dict[tuple[str, int], list[dict]], metrics: list[dict],
+              parent_digests: dict[int, list[dict]] | None = None,
+              change_digests: dict[int, list[dict]] | None = None) -> dict:
     """One entry per workload measured on both sides."""
+    parent_digests, change_digests = parent_digests or {}, change_digests or {}
     out = {}
     for workload in sorted({w for w, _ in parent} & {w for w, _ in change}):
         seeds = sorted(s for w, s in parent if w == workload and (w, s) in change)
@@ -97,6 +124,9 @@ def summarize(parent: dict[tuple[str, int], list[dict]],
                 "parent": spread(before), "change": spread(after),
                 "change_wins": sum(sign * (a - b) > 0 for b, a in zip(before, after)),
             }
+        entry["fpseq_identical"] = [fpseq_identical(parent_digests.get(s, []),
+                                                    change_digests.get(s, []))
+                                    for s in seeds]
         entry["parent"] = _side(parent, workload, seeds)
         entry["change"] = _side(change, workload, seeds)
         entry["more_failures"] = (entry["change"]["failure_share"]
@@ -112,7 +142,8 @@ def main(argv=None) -> int:
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    summary = summarize(load_runs(args.parent), load_runs(args.change), metrics)
+    summary = summarize(load_runs(args.parent), load_runs(args.change), metrics,
+                        load_digests(args.parent), load_digests(args.change))
     if not summary:
         print("bench_json: no workload was run on both sides", file=sys.stderr)
         return 2
@@ -125,6 +156,9 @@ def main(argv=None) -> int:
         print(f"{workload:<12} {'failed':<17} parent {entry['parent']['failed']}/"
               f"{entry['parent']['attempted']} change {entry['change']['failed']}/"
               f"{entry['change']['attempted']}")
+        same = entry["fpseq_identical"]
+        print(f"{workload:<12} {'fpseq identical':<17} {same.count(True)}/{len(same)} seeds, "
+              f"{same.count(False)} differ, {same.count(None)} without digests")
     unclean = [f"{workload} {side}" for workload, entry in summary.items()
                for side in ("parent", "change")
                if entry[side]["incorrect_runs"] or entry[side]["failed"]]
