@@ -1,10 +1,10 @@
 """Minimal reverse-mode automatic differentiation on float64 numpy arrays.
 
 Define-by-run: operations executed while a :class:`Tape` is active are
-recorded and can be differentiated with ``tape.backward(loss)``. With no
-active tape the same functions run forward-only, which is what evaluation
-uses. The operation set is exactly what the pose model needs; there is no
-general broadcasting beyond the documented cases.
+recorded and can be differentiated with ``backward(tape, loss, wrt)``.
+With no active tape the same functions run forward-only, which is what
+evaluation uses. The operation set is exactly what the pose model needs;
+there is no general broadcasting beyond the documented cases.
 
 Everything is double precision and single-threaded. Two backward passes
 over identical inputs produce bit-identical gradients: node ids are
@@ -24,8 +24,9 @@ _ACTIVE_TAPE = None
 class Tensor:
     """A value participating in differentiable computation.
 
-    Wraps a float64 ndarray. ``node_id`` links the tensor to the tape it
-    was recorded on (None outside any tape).
+    Wraps a float64 ndarray. An op output recorded on a tape holds that
+    tape and its ``node_id`` on it; every other tensor (a parameter, a
+    constant, a value computed with no tape) holds None in both.
     """
 
     __slots__ = ("data", "node_id", "_tape")
@@ -52,12 +53,15 @@ class Tape:
 
     Use as a context manager; nesting is not supported. The tape is
     rebuilt every forward pass, which keeps per-frame control flow
-    trivially correct.
+    trivially correct. Only its op outputs point at it, so it is freed
+    with the last of them.
     """
 
     def __init__(self):
-        self._parents = []  # node id -> tuple of (parent_id, vjp)
-        self._stamped = []
+        self._parents = []  # node id -> tuple of (parent_id, vjp); () for a leaf
+        # id(tensor) -> (node id, tensor) for the leaves; holding the tensor
+        # keeps its id from being reused while the tape lives
+        self._leaves = {}
 
     def __enter__(self):
         global _ACTIVE_TAPE
@@ -71,67 +75,22 @@ class Tape:
         _ACTIVE_TAPE = None
         return False
 
-    def release(self):
-        """Drop node stamps so tensors can be reused on a fresh tape."""
-        for t in self._stamped:
-            t._tape = None
-            t.node_id = None
-        self._stamped.clear()
-        self._parents.clear()
-
-    def _ensure_node(self, t: Tensor) -> int:
+    def _node(self, t: Tensor, add: bool) -> int | None:
+        """Node id of ``t`` on this tape; a new leaf if ``add``, else None."""
         if t._tape is self:
             return t.node_id
-        nid = len(self._parents)
-        self._parents.append(())
-        t._tape = self
-        t.node_id = nid
-        self._stamped.append(t)
-        return nid
+        leaf = self._leaves.get(id(t))
+        if leaf is None and add:
+            leaf = self._leaves[id(t)] = (len(self._parents), t)
+            self._parents.append(())
+        return None if leaf is None else leaf[0]
 
     def _emit(self, value: np.ndarray, parents) -> Tensor:
         out = Tensor(value)
-        nid = len(self._parents)
-        self._parents.append(tuple(parents))
         out._tape = self
-        out.node_id = nid
-        self._stamped.append(out)
+        out.node_id = len(self._parents)
+        self._parents.append(tuple(parents))
         return out
-
-    def backward(self, loss: Tensor) -> dict[int, np.ndarray]:
-        """Reverse sweep from a scalar loss node.
-
-        Returns gradients keyed by node id; nodes that did not influence
-        the loss are absent (their gradient is exactly zero).
-        """
-        if loss.data.size != 1:
-            raise ContractError(
-                f"backward requires a scalar loss, got shape {loss.data.shape}"
-            )
-        if loss._tape is None:
-            return {}  # constant loss: every gradient is exactly zero
-        if loss._tape is not self:
-            raise ContractError("loss tensor was recorded on a different tape")
-        grads: list = [None] * len(self._parents)
-        grads[loss.node_id] = np.ones_like(loss.data)
-        for nid in range(loss.node_id, -1, -1):
-            g = grads[nid]
-            if g is None:
-                continue
-            for pid, vjp in self._parents[nid]:
-                contrib = vjp(g)
-                if grads[pid] is None:
-                    grads[pid] = contrib
-                else:
-                    # Never accumulate in place: vjps may return views.
-                    grads[pid] = grads[pid] + contrib
-        return {i: g for i, g in enumerate(grads) if g is not None}
-
-    def grad_for(self, grads: dict[int, np.ndarray], t: Tensor) -> np.ndarray:
-        """Gradient of a tensor from a ``backward`` result, zeros if unused."""
-        if t._tape is self and t.node_id in grads:
-            return grads[t.node_id]
-        return np.zeros_like(t.data)
 
 
 def _value(x) -> np.ndarray:
@@ -151,7 +110,7 @@ def _apply(value, *parent_specs):
     parents = []
     for inp, vjp in parent_specs:
         if isinstance(inp, Tensor):
-            parents.append((tape._ensure_node(inp), vjp))
+            parents.append((tape._node(inp, add=True), vjp))
     return tape._emit(value, parents)
 
 
@@ -476,12 +435,36 @@ def gru_cell(x, h_prev, wz, uz, bz, wr, ur, br, wh, uh, bh) -> Tensor:
     return add(mul(sub(1.0, z), n), mul(z, h_prev))
 
 
-def backward(tape: Tape, loss: Tensor, store) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss keyed by parameter path.
+def backward(tape: Tape, loss: Tensor, wrt) -> dict:
+    """Gradients of a scalar loss recorded on ``tape``, keyed like ``wrt``.
 
-    Only parameters that reach the loss on this tape get an entry; an
-    absent path has an exactly zero gradient.
+    ``wrt`` has ``.items()`` of (key, Tensor), e.g. a dict or a
+    ParameterStore. The result follows its order and holds only the
+    tensors the loss reaches on this tape; an absent key has an exactly
+    zero gradient. Nodes are swept in strict reverse and each gradient
+    is dropped once passed on, unless it was asked for.
     """
-    grads = tape.backward(loss)
-    return {path: grads[tensor.node_id] for path, tensor in store.items()
-            if tensor._tape is tape and tensor.node_id in grads}
+    if loss.data.size != 1:
+        raise ContractError(
+            f"backward requires a scalar loss, got shape {loss.data.shape}"
+        )
+    if loss._tape is None:
+        return {}  # constant loss: every gradient is exactly zero
+    if loss._tape is not tape:
+        raise ContractError("loss tensor was recorded on a different tape")
+    wanted = {key: tape._node(t, add=False) for key, t in wrt.items()}
+    keep = set(wanted.values())
+    grads: list = [None] * len(tape._parents)
+    grads[loss.node_id] = np.ones_like(loss.data)
+    for nid in range(loss.node_id, -1, -1):
+        g = grads[nid]
+        if g is None:
+            continue
+        if nid not in keep:
+            grads[nid] = None
+        for pid, vjp in tape._parents[nid]:
+            contrib = vjp(g)
+            # Never accumulate in place: vjps may return views.
+            grads[pid] = contrib if grads[pid] is None else grads[pid] + contrib
+    return {key: grads[nid] for key, nid in wanted.items()
+            if nid is not None and grads[nid] is not None}

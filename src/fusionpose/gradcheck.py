@@ -77,7 +77,6 @@ def finite_diff_check(f, store: ParameterStore, step: float = 1e-5,
     if not np.isfinite(loss.data):
         raise InvalidInputError("function value is not finite at the given parameters")
     grads = backward(tape, loss, store)
-    tape.release()
 
     rng = np.random.Generator(np.random.PCG64(coord_seed))
     report = GradCheckReport(step=step, tolerance=tolerance)

@@ -149,7 +149,8 @@ def batch_gradients(model: FusionPoseModel, store: ParameterStore,
     # gradients of the parameters (keyed by path) and of each pooled
     # leaf (keyed like ``frames``)
     g = ad.backward(tape, mean, {**dict(store.items()), **pooled})
-    tape.release()
+    # a tape lives as long as its outputs: free each before the next runs
+    del tape, mean
     grads = {path: g[path] for path in store.paths() if path in g}
 
     owned = set()  # paths whose array this step made, so adds go in place
@@ -166,7 +167,7 @@ def batch_gradients(model: FusionPoseModel, store: ParameterStore,
                 owned.add(path)
             else:
                 grads[path] = grad
-        tape.release()
+        del tape, pushed
     # parameters no tape reached (e.g. image.* under point_rgb) are zero
     grads = {path: grads[path] if path in grads else np.zeros_like(tensor.data)
              for path, tensor in store.items()}

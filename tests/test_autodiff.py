@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -11,9 +14,7 @@ def ad_grad(fn, x0: np.ndarray) -> tuple[float, np.ndarray]:
     x = ad.Tensor(x0)
     with ad.Tape() as tape:
         out = ad.sum_all(fn(x))
-    grads = tape.backward(out)
-    g = tape.grad_for(grads, x)
-    tape.release()
+    g = ad.backward(tape, out, {"x": x}).get("x", np.zeros_like(x.data))
     return float(out.data), g
 
 
@@ -65,10 +66,8 @@ def test_matmul_gradient_matches_finite_differences():
     a, b = ad.Tensor(a0), ad.Tensor(b0)
     with ad.Tape() as tape:
         loss = ad.sum_all(ad.matmul(a, b))
-    grads = tape.backward(loss)
-    ga = tape.grad_for(grads, a)
-    gb = tape.grad_for(grads, b)
-    tape.release()
+    grads = ad.backward(tape, loss, {"a": a, "b": b})
+    ga, gb = grads["a"], grads["b"]
 
     def f(av, bv):
         return float((av @ bv).sum())
@@ -149,9 +148,8 @@ def test_layer_norm_gain_bias_gradients():
     gain, bias = ad.Tensor(g0), ad.Tensor(b0)
     with ad.Tape() as tape:
         loss = ad.sum_all(ad.mul(ad.layer_norm(x, gain, bias), weights))
-    grads = tape.backward(loss)
-    gg, gb = tape.grad_for(grads, gain), tape.grad_for(grads, bias)
-    tape.release()
+    grads = ad.backward(tape, loss, {"gain": gain, "bias": bias})
+    gg, gb = grads["gain"], grads["bias"]
     h = 1e-6
 
     def value(gv, bv):
@@ -205,9 +203,8 @@ def test_rownorm_zero_row_subgradient_is_zero():
     x = ad.Tensor(np.zeros((2, 3)))
     with ad.Tape() as tape:
         out = ad.sum_all(ad.rownorm(x))
-    grads = tape.backward(out)
-    np.testing.assert_array_equal(tape.grad_for(grads, x), 0.0)
-    tape.release()
+    grads = ad.backward(tape, out, {"x": x})
+    np.testing.assert_array_equal(grads["x"], 0.0)
 
 
 def test_im2col_gradient_and_shape():
@@ -226,9 +223,7 @@ def test_add_broadcast_bias_gradient():
     b = ad.Tensor(b0)
     with ad.Tape() as tape:
         out = ad.sum_all(ad.mul(ad.add(x, b), x))
-    grads = tape.backward(out)
-    gb = tape.grad_for(grads, b)
-    tape.release()
+    gb = ad.backward(tape, out, {"b": b})["b"]
     np.testing.assert_allclose(gb, x.sum(axis=0), atol=1e-12)
 
 
@@ -260,10 +255,8 @@ def test_gru_cell_gradients_match_finite_differences():
     hprev = ad.Tensor(h0)
     with ad.Tape() as tape:
         out = ad.sum_all(ad.gru_cell(x, hprev, **params))
-    grads = tape.backward(out)
-    got = {k: tape.grad_for(grads, t) for k, t in params.items()}
-    got["hprev"] = tape.grad_for(grads, hprev)
-    tape.release()
+    got = ad.backward(tape, out, {**params, "hprev": hprev})
+    assert list(got) == [*params, "hprev"]
 
     def value():
         return float(ad.sum_all(ad.gru_cell(x, ad.Tensor(h0), **{
@@ -291,9 +284,8 @@ def test_backward_sum_gives_ones():
     w = ad.Tensor(np.arange(6, dtype=float).reshape(2, 3))
     with ad.Tape() as tape:
         loss = ad.sum_all(w)
-    grads = tape.backward(loss)
-    np.testing.assert_array_equal(tape.grad_for(grads, w), np.ones((2, 3)))
-    tape.release()
+    grads = ad.backward(tape, loss, {"w": w})
+    np.testing.assert_array_equal(grads["w"], np.ones((2, 3)))
 
 
 def test_backward_half_norm_squared_gives_w():
@@ -301,18 +293,16 @@ def test_backward_half_norm_squared_gives_w():
     w = ad.Tensor(w0)
     with ad.Tape() as tape:
         loss = ad.scale(ad.sum_all(ad.mul(w, w)), 0.5)
-    grads = tape.backward(loss)
-    np.testing.assert_allclose(tape.grad_for(grads, w), w0)
-    tape.release()
+    grads = ad.backward(tape, loss, {"w": w})
+    np.testing.assert_allclose(grads["w"], w0)
 
 
 def test_backward_identity_contributes_exactly_one():
     x = ad.Tensor(np.array(3.0))
     with ad.Tape() as tape:
         y = ad.add(x, 0.0)
-    grads = tape.backward(y)
-    assert float(tape.grad_for(grads, x)) == 1.0
-    tape.release()
+    grads = ad.backward(tape, y, {"x": x})
+    assert float(grads["x"]) == 1.0
 
 
 def test_backward_unused_input_gradient_is_exactly_zero():
@@ -321,9 +311,8 @@ def test_backward_unused_input_gradient_is_exactly_zero():
     with ad.Tape() as tape:
         ad.sum_all(unused)  # on-tape but not feeding the loss
         loss = ad.sum_all(used)
-    grads = tape.backward(loss)
-    np.testing.assert_array_equal(tape.grad_for(grads, unused), 0.0)
-    tape.release()
+    grads = ad.backward(tape, loss, {"used": used, "unused": unused})
+    assert list(grads) == ["used"]  # absent: exactly zero
 
 
 def test_backward_by_path_returns_only_parameters_on_the_tape():
@@ -333,7 +322,6 @@ def test_backward_by_path_returns_only_parameters_on_the_tape():
     with ad.Tape() as tape:
         loss = ad.sum_all(ad.mul(used, used))
     grads = ad.backward(tape, loss, store)
-    tape.release()
     assert list(grads) == ["a.w"]
     np.testing.assert_array_equal(grads["a.w"], 2.0 * used.data)
 
@@ -342,9 +330,8 @@ def test_backward_rejects_non_scalar_loss():
     x = ad.Tensor(np.ones(3))
     with ad.Tape() as tape:
         y = ad.mul(x, x)
-    with pytest.raises(ContractError):
-        tape.backward(y)
-    tape.release()
+    with pytest.raises(ContractError, match="scalar"):
+        ad.backward(tape, y, {"x": x})
 
 
 def test_backward_is_bit_deterministic():
@@ -358,9 +345,7 @@ def test_backward_is_bit_deterministic():
         with ad.Tape() as tape:
             h = ad.relu(ad.matmul(x, w1))
             loss = ad.sum_all(ad.softmax(ad.matmul(h, w2)))
-        grads = ad.backward(tape, loss, store)
-        tape.release()
-        return grads
+        return ad.backward(tape, loss, store)
 
     g1, g2 = run(), run()
     for path in g1:
@@ -380,3 +365,93 @@ def test_nested_tapes_rejected():
         with pytest.raises(ContractError):
             with ad.Tape():
                 pass
+
+
+def test_backward_follows_wrt_order_and_omits_unreached_tensors():
+    a, b, c = (ad.Tensor(np.full(2, v)) for v in (1.0, 2.0, 3.0))
+    off_tape = ad.Tensor(np.ones(2))
+    with ad.Tape() as tape:
+        side = ad.sum_all(c)  # recorded but not feeding the loss
+        loss = ad.sum_all(ad.mul(a, b))
+    grads = ad.backward(tape, loss, {"b": b, "off": off_tape, "side": side,
+                                     "c": c, "a": a, "loss": loss})
+    assert list(grads) == ["b", "a", "loss"]
+    np.testing.assert_array_equal(grads["b"], a.data)
+    np.testing.assert_array_equal(grads["a"], b.data)
+    assert float(grads["loss"]) == 1.0
+
+
+def test_backward_rejects_a_loss_from_another_tape():
+    x = ad.Tensor(np.ones(3))
+    with ad.Tape() as first:
+        loss = ad.sum_all(x)
+    with ad.Tape() as second:
+        ad.sum_all(x)
+    with pytest.raises(ContractError, match="different tape"):
+        ad.backward(second, loss, {"x": x})
+    assert ad.backward(first, loss, {"x": x})["x"].tolist() == [1.0, 1.0, 1.0]
+
+
+def test_backward_of_a_constant_loss_is_empty():
+    # what total_loss returns when every loss weight is zero
+    x = ad.Tensor(np.ones(3))
+    with ad.Tape() as tape:
+        ad.sum_all(x)
+        loss = ad.Tensor(np.zeros(()))
+    assert ad.backward(tape, loss, {"x": x}) == {}
+
+
+def test_output_of_an_earlier_tape_is_a_leaf_on_the_next():
+    x = ad.Tensor(np.array([1.0, -2.0]))
+    with ad.Tape() as first:
+        y = ad.scale(x, 3.0)
+    node = y.node_id
+    with ad.Tape() as second:
+        loss = ad.sum_all(ad.mul(y, y))
+    grads = ad.backward(second, loss, {"x": x, "y": y})
+    assert list(grads) == ["y"]  # x reaches the loss only through the first tape
+    np.testing.assert_array_equal(grads["y"], 2.0 * y.data)
+    # neither tape stamps its leaves; y keeps its place on the first tape
+    assert (y._tape, y.node_id) == (first, node)
+    assert (x._tape, x.node_id) == (None, None)
+
+
+def _forward_that_raises(store, seen):
+    with ad.Tape() as tape:
+        seen.append(weakref.ref(tape))
+        ad.sum_all(ad.mul(store["a.w"], store["a.w"]))
+        raise ValueError("bad frame")
+
+
+def test_tape_is_freed_with_its_last_output():
+    store = ParameterStore(seed=5)
+    w = store.weight("a.w", (3, 3))
+    gc.disable()
+    try:
+        with ad.Tape() as tape:
+            loss = ad.sum_all(ad.mul(w, w))
+        assert list(ad.backward(tape, loss, store)) == ["a.w"]
+        alive = weakref.ref(tape)
+        del tape
+        assert alive() is not None  # the loss still points at it
+        del loss
+        assert alive() is None
+        assert (w._tape, w.node_id) == (None, None)
+    finally:
+        gc.enable()
+
+
+def test_tape_of_a_forward_that_raised_is_freed():
+    store = ParameterStore(seed=5)
+    w = store.weight("a.w", (3, 3))
+    gc.disable()
+    try:
+        seen = []
+        try:
+            _forward_that_raises(store, seen)
+        except ValueError:
+            pass
+        assert seen[0]() is None
+        assert w._tape is None
+    finally:
+        gc.enable()

@@ -166,3 +166,45 @@ def test_fpseq_identical_compares_both_trees_digests_seed_by_seed(tmp_path, caps
                                    bench_json.load_runs(trees["change"] / "results"),
                                    METRICS)
     assert summary["ingest"]["fpseq_identical"] == [None] * 5
+
+
+def _failing_seed_pair(parent: Path, change: Path, seed: int, parent_run: tuple,
+                       change_run: tuple) -> None:
+    """Rerun one seed on both sides with the given (failed, attempted)."""
+    _write_run(parent, f"train-seed{seed}-b", "train", seed, 0, 11.0, 95.0,
+               failed=parent_run[0], attempted=parent_run[1])
+    _write_run(change, f"train-seed{seed}-c", "train", seed, 0, 12.5, 95.0, "box2",
+               failed=change_run[0], attempted=change_run[1])
+
+
+def test_equal_per_seed_shares_are_not_flagged_over_more_passes(result_dirs, tmp_path,
+                                                                 capsys):
+    # a faster change makes more passes over the same dropped window: 1 in 728
+    parent, change = result_dirs
+    _failing_seed_pair(parent, change, 3, (3, 2184), (5, 3640))
+    out = tmp_path / "BENCH_0.json"
+    assert bench_json.main([str(parent), str(change), "--out", str(out)]) == 1
+    train = json.loads(out.read_text())["workloads"]["train"]
+    # the pooled shares differ (3/2334 against 5/3790); the seed's shares do not
+    assert train["change"]["failure_share"] > train["parent"]["failure_share"]
+    assert train["more_failures"] is False
+    assert "larger share" not in capsys.readouterr().err
+
+
+def test_one_extra_failure_at_one_seed_is_flagged(result_dirs, tmp_path, capsys):
+    parent, change = result_dirs
+    _failing_seed_pair(parent, change, 3, (0, 50), (1, 50))
+    _failing_seed_pair(parent, change, 4, (5, 50), (0, 50))
+    out = tmp_path / "BENCH_0.json"
+    assert bench_json.main([str(parent), str(change), "--out", str(out)]) == 1
+    train = json.loads(out.read_text())["workloads"]["train"]
+    assert train["change"]["failure_share"] < train["parent"]["failure_share"]
+    assert train["more_failures"] is True
+    assert "larger share of operations than the parent: train" in capsys.readouterr().err
+
+
+def test_a_run_that_attempted_nothing_reads_as_no_failures():
+    run = {"failed": 0, "attempted": 0}
+    assert not bench_json.more_failures([(run, run)])
+    assert bench_json.more_failures([(run, {"failed": 1, "attempted": 0})])
+    assert not bench_json.more_failures([({"failed": 1, "attempted": 0}, run)])

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import os
 import struct
 import subprocess
@@ -689,3 +690,36 @@ def test_people_leaving_the_view_finish_or_fail_cleanly(tmp_path, capsys):
     trained = _finishes_or_fails_cleanly(["train", "--config", str(cfgfile)], capsys) == 0
     for extra in [["--oracle"], ["--baseline"]] + [[]] * trained:
         _finishes_or_fails_cleanly(["eval", "--config", str(cfgfile), *extra], capsys)
+
+
+def test_a_scene_with_every_keypoint_invisible_runs_through_the_cli(tmp_path, capsys):
+    # no 2D supervision at all: only the point cloud (Chamfer) can train
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(TINY_CFG.replace("optim.epochs = 2", "optim.epochs = 1"))
+    cfg = load_config(cfgfile)
+    generate_dataset(dataclasses.replace(cfg.scene_config(), joint_drop_prob=1.0),
+                     cfg.path("dataset_dir"))
+    frames = read_sequence(cfg.path("dataset_dir") / "train_000.fpseq").frames
+    assert not any(person.visibility.any() for frame in frames for person in frame.persons)
+
+    assert main(["train", "--config", str(cfgfile)]) == 0
+    with open(tmp_path / "reports" / "loss_log.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    for row in rows:
+        assert float(row["motion"]) == float(row["proj"]) == 0.0
+        assert np.isfinite(float(row["cd_agu"])) and float(row["cd_agu"]) > 0.0
+    capsys.readouterr()
+
+    assert main(["eval", "--config", str(cfgfile)]) == 0
+    line = capsys.readouterr().out.splitlines()[-2]
+    scores = dict(part.split("=") for part in line.split())
+    assert np.isfinite(float(scores["pck"])) and int(scores["n"]) > 0
+    assert main(["export-poses", "--config", str(cfgfile),
+                 "--out", str(tmp_path / "poses.csv")]) == 0
+    assert read_exported_poses(tmp_path / "poses.csv")
+    assert main(["ablate", "--study", "occlusion", "--config", str(cfgfile)]) == 0
+    arms = [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("occlusion/")]
+    assert arms and all(np.isfinite(float(line.split("pck=")[1].split()[0]))
+                        for line in arms)

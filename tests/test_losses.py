@@ -106,11 +106,9 @@ def test_consistency_mean_is_constant_target():
     frames = [ad.Tensor(rng.normal(size=(K, 4))) for _ in range(3)]
     with ad.Tape() as tape:
         loss = consistency_loss(frames)
-    grads = tape.backward(loss)
+    g = ad.backward(tape, loss, dict(enumerate(frames)))
     # if gradients flowed through the mean they would cancel to zero sums
-    g = [tape.grad_for(grads, f) for f in frames]
-    tape.release()
-    assert sum(float(np.abs(x).sum()) for x in g) > 0.0
+    assert sum(float(np.abs(x).sum()) for x in g.values()) > 0.0
 
 
 # -- projection -------------------------------------------------------------------
@@ -219,9 +217,7 @@ def test_chamfer_gradient_matches_finite_differences():
     pts = ad.Tensor(pts0)
     with ad.Tape() as tape:
         loss = chamfer(cloud, pts)
-    grads = tape.backward(loss)
-    g = tape.grad_for(grads, pts)
-    tape.release()
+    g = ad.backward(tape, loss, {"pts": pts})["pts"]
     h = 1e-6
     flat = pts0.reshape(-1)
     for i in range(flat.size):
@@ -259,9 +255,7 @@ def test_chamfer_agu_gradient():
     pose = ad.Tensor(pose0)
     with ad.Tape() as tape:
         loss = chamfer_agu_loss(pose, cloud, 2)
-    grads = tape.backward(loss)
-    g = tape.grad_for(grads, pose)
-    tape.release()
+    g = ad.backward(tape, loss, {"pose": pose})["pose"]
     h = 1e-6
     flat = pose0.reshape(-1)
     for i in range(0, flat.size, 7):  # subsample coordinates
@@ -334,9 +328,8 @@ def test_consistency_gradient_with_bound_target():
     tensors = [ad.Tensor(f) for f in frames0]
     with ad.Tape() as tape:
         loss = consistency_loss(tensors, target)
-    grads = tape.backward(loss)
-    got = [tape.grad_for(grads, t) for t in tensors]
-    tape.release()
+    grads = ad.backward(tape, loss, dict(enumerate(tensors)))
+    got = [grads[i] for i in range(len(tensors))]
     h = 1e-6
     for fi, (f, g) in enumerate(zip(frames0, got)):
         flat = f.reshape(-1)
@@ -378,8 +371,7 @@ def test_stacked_frames_sum_per_frame_means_and_an_unusable_frame_adds_zero(term
                 rows = np.concatenate([np.arange(f * K, (f + 1) * K) for f in frames])
                 value = motion_loss(pred, kp, Pose2D(prev.joints[rows],
                                                      prev.visibility[rows]))
-        grad = tape.grad_for(tape.backward(value), pred)
-        tape.release()
+        grad = ad.backward(tape, value, {"pred": pred}).get("pred")
         return float(value.data), grad
 
     per_frame = [loss([f])[0] for f in range(3)]

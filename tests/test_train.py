@@ -81,7 +81,6 @@ def per_window_tapes(model, store, dataset, batch, weights, bone_samples):
             total, values = window_loss(model, frames, sample, weights,
                                         bone_samples)
         g = ad.backward(tape, total, store)
-        tape.release()
         grads.update({p: grads[p] + g[p] for p in g})
         for name, v in values.items():
             sums[name] += v
@@ -275,3 +274,43 @@ def test_segment_batch_gradients_are_deterministic(tiny):
     for path in first:
         np.testing.assert_array_equal(first[path], second[path])
 
+
+def reference_sweep(tape, loss, wrt):
+    """Reference: the strict reverse sweep keeping every node's gradient,
+    read back for the leaves in ``wrt``."""
+    grads = [None] * len(tape._parents)
+    grads[loss.node_id] = np.ones_like(loss.data)
+    for nid in range(loss.node_id, -1, -1):
+        g = grads[nid]
+        if g is None:
+            continue
+        for pid, vjp in tape._parents[nid]:
+            contrib = vjp(g)
+            grads[pid] = contrib if grads[pid] is None else grads[pid] + contrib
+    nodes = {key: tape._leaves[id(t)][0] for key, t in wrt.items()
+             if id(t) in tape._leaves}
+    return {key: grads[nid] for key, nid in nodes.items() if grads[nid] is not None}
+
+
+def test_segment_tape_backward_is_bit_identical_to_the_reference_sweep(
+        tiny, monkeypatch):
+    cfg, data = tiny
+    model, store = build_model(cfg.model_config(), 7)
+    original, seen = ad.backward, []
+
+    def checked(tape, loss, wrt):
+        got = original(tape, loss, wrt)
+        if not seen:  # the segment tape; the encoder tapes follow it
+            seen.append((got, reference_sweep(tape, loss, wrt), list(wrt)))
+        return got
+    monkeypatch.setattr(ad, "backward", checked)
+    batch_gradients(model, store, data, overlapping_batch(data), cfg.loss_weights(),
+                    cfg.bone_samples)
+    got, want, keys = seen[0]
+    assert list(got) == list(want)
+    # every pooled leaf (int key) reaches the loss; no encoder parameter does
+    assert [k for k in keys if isinstance(k, int)] == [k for k in got if isinstance(k, int)]
+    assert all(k.startswith("temporal.") for k in got if isinstance(k, str))
+    for key in want:
+        assert got[key].shape == want[key].shape
+        assert got[key].tobytes() == want[key].tobytes(), key

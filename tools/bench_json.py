@@ -13,8 +13,11 @@ number of pairs the change wins (ties count for neither side), the seeds
 and each side's environment blocks. Each side also lists every run file
 read, with its ``correct``, ``attempted`` and ``failed`` fields, the
 totals over the paired runs and their ``failure_share`` (failed /
-attempted); ``more_failures`` is set when the change's share is larger
-than the parent's, which refuses a change whatever its speed.
+attempted), as a report. ``more_failures`` is set when, at any paired
+seed, the change's run fails a larger share of its operations than the
+parent's, which refuses a change whatever its speed. Shares are compared
+seed by seed and exactly, so a faster run that makes more passes over
+the same failing input is not flagged.
 ``fpseq_identical`` lists, seed by seed, whether the ``.fpseq`` digests
 that perfbench recorded beside each results directory
 (``.perfbench/digests/<source>-seed<N>.json``) agree across the two
@@ -104,6 +107,15 @@ def _side(runs: dict[tuple[str, int], list[dict]], workload: str,
             "environment": _environments(paired), "runs": files}
 
 
+def more_failures(pairs: list[tuple[dict, dict]]) -> bool:
+    """Whether at any (parent, change) pair the change's failed/attempted
+    is larger, compared as integers: 3/2184 and 5/3640 are equal shares
+    that need not round alike. A run that attempted nothing is read as
+    having attempted one."""
+    return any(c["failed"] * max(p["attempted"], 1) > p["failed"] * max(c["attempted"], 1)
+               for p, c in pairs)
+
+
 def summarize(parent: dict[tuple[str, int], list[dict]],
               change: dict[tuple[str, int], list[dict]], metrics: list[dict],
               parent_digests: dict[int, list[dict]] | None = None,
@@ -129,8 +141,7 @@ def summarize(parent: dict[tuple[str, int], list[dict]],
                                     for s in seeds]
         entry["parent"] = _side(parent, workload, seeds)
         entry["change"] = _side(change, workload, seeds)
-        entry["more_failures"] = (entry["change"]["failure_share"]
-                                  > entry["parent"]["failure_share"])
+        entry["more_failures"] = more_failures(pairs)
         out[workload] = entry
     return out
 
