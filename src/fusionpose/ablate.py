@@ -85,19 +85,14 @@ def run_study(cfg: RunConfig, study: str,
         raise ConfigError(f"study {study!r} evaluates a trained checkpoint")
     val_data = _dataset(cfg, "val", model.cfg)
     if study == "density":
-        for budget in cfg.point_budgets:
-            report, _ = evaluate_dataset(model, val_data, "val", cfg.bone_samples,
-                                         cfg.squared_cd, point_budget=budget,
-                                         seed=cfg.seed)
-            rows.append(StudyRow(study, str(budget), report.pck, report.mpjpe_mm,
-                                 report.cd_mm, report.n_samples))
+        arms = [(str(budget), {"point_budget": budget}) for budget in cfg.point_budgets]
     else:  # occlusion
-        for fraction in (0.0, cfg.occlusion_fraction):
-            report, _ = evaluate_dataset(model, val_data, "val", cfg.bone_samples,
-                                         cfg.squared_cd, occlusion=fraction,
-                                         seed=cfg.seed)
-            rows.append(StudyRow(study, repr(fraction), report.pck, report.mpjpe_mm,
-                                 report.cd_mm, report.n_samples))
+        arms = [(repr(f), {"occlusion": f}) for f in (0.0, cfg.occlusion_fraction)]
+    for arm, degrade in arms:
+        report, _ = evaluate_dataset(model, val_data, "val", cfg.bone_samples,
+                                     cfg.squared_cd, seed=cfg.seed, **degrade)
+        rows.append(StudyRow(study, arm, report.pck, report.mpjpe_mm,
+                             report.cd_mm, report.n_samples))
     return rows
 
 

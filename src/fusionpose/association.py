@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidInputError
-from .geometry import Calibration, Pose2D, project
+from .geometry import Calibration, Pose2D, project, rot_z
 
 
 @dataclass(frozen=True)
@@ -43,14 +43,10 @@ class Detection3D:
             raise InvalidInputError(f"3D box size must be positive, got {self.size}")
 
     def corners(self) -> np.ndarray:
-        cx, cy, cz = self.center
-        sx, sy, sz = self.size
         signs = np.array([[i, j, k] for i in (-1, 1) for j in (-1, 1) for k in (-1, 1)],
                          dtype=np.float64)
-        local = signs * np.array([sx, sy, sz]) / 2.0
-        c, s = math.cos(self.yaw), math.sin(self.yaw)
-        rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        return local @ rot.T + np.array([cx, cy, cz])
+        local = signs * np.array(self.size) / 2.0
+        return local @ rot_z(self.yaw).T + np.array(self.center)
 
 
 def _assignment_entries(cost: np.ndarray) -> list[float]:

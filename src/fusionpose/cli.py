@@ -92,7 +92,8 @@ def cmd_eval(args) -> int:
     cfg = load_config(args.config)
     mode = "oracle" if args.oracle else ("baseline" if args.baseline else "model")
     model = _trained_model(cfg, args.checkpoint) if mode == "model" else None
-    out = _out_path(cfg, args.out, f"metrics_{args.split}.csv")
+    suffix = "" if mode == "model" else f"_{mode}"
+    out = _out_path(cfg, args.out, f"metrics_{args.split}{suffix}.csv")
     report, windows = evaluate_dataset(model, _dataset(cfg, args.split), args.split,
                                        cfg.bone_samples, cfg.squared_cd,
                                        mode=mode)

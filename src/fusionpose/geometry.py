@@ -8,6 +8,7 @@ of its inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,6 +144,20 @@ class Pose2D:
 # point cloud operations
 
 
+def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(m, n) squared distances between the rows of (m, d) ``a`` and (n, d) ``b``.
+
+    Summed one coordinate at a time, left to right as numpy sums a short
+    last axis, so the bits equal a sum over the (m, n, d) squared
+    differences, which this never builds.
+    """
+    out = np.zeros((a.shape[0], b.shape[0]))
+    for k in range(a.shape[1]):
+        d = a[:, None, k] - b[None, :, k]
+        out += d * d
+    return out
+
+
 def downsample(points: np.ndarray, n: int) -> np.ndarray:
     """Cap a point cloud at ``n`` points.
 
@@ -155,15 +170,13 @@ def downsample(points: np.ndarray, n: int) -> np.ndarray:
         raise InvalidInputError(f"downsample wants a non-empty (m, 3) cloud, got {points.shape}")
     if points.shape[0] <= n:
         return points.copy()
-    centroid = points.mean(axis=0)
-    seed_idx = int(np.argmin(((points - centroid) ** 2).sum(axis=1)))
+    nxt = int(np.argmin(sq_dists(points, points.mean(axis=0, keepdims=True))))
     chosen = np.empty(n, dtype=np.int64)
-    chosen[0] = seed_idx
-    dist = ((points - points[seed_idx]) ** 2).sum(axis=1)
-    for i in range(1, n):
-        nxt = int(np.argmax(dist))
+    dist = np.full(points.shape[0], np.inf)
+    for i in range(n):
         chosen[i] = nxt
-        dist = np.minimum(dist, ((points - points[nxt]) ** 2).sum(axis=1))
+        dist = np.minimum(dist, sq_dists(points, points[nxt:nxt + 1])[:, 0])
+        nxt = int(np.argmax(dist))
     return points[chosen].copy()
 
 
@@ -193,8 +206,9 @@ def interpolation_matrix(samples_per_bone: int) -> np.ndarray:
     return mat
 
 
-def _yaw_matrix(yaw: float) -> np.ndarray:
-    c, s = np.cos(yaw), np.sin(yaw)
+def rot_z(theta: float) -> np.ndarray:
+    """The 3x3 rotation by ``theta`` radians about the z (up) axis."""
+    c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
@@ -209,7 +223,7 @@ def crop_points(points: np.ndarray, center: np.ndarray, size: np.ndarray,
     size = np.asarray(size, dtype=np.float64)
     if (size <= 0).any():
         raise InvalidInputError(f"box size must be positive, got {size}")
-    local = (points - np.asarray(center)) @ _yaw_matrix(yaw)
+    local = (points - np.asarray(center)) @ rot_z(yaw)
     keep = (np.abs(local) <= size / 2.0).all(axis=1)
     if not keep.any():
         raise EmptyCropError("3D crop contains no points")

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, InvalidInputError
-from .geometry import N_JOINTS, Z_MIN, Calibration, interpolation_matrix
+from .geometry import N_JOINTS, Z_MIN, Calibration, interpolation_matrix, sq_dists
 
 log = logging.getLogger(__name__)
 
@@ -127,7 +127,7 @@ def projection_loss(pred_pose, kp: "Pose2D", calib: Calibration) -> ad.Tensor:
     leaves this loss unchanged, which is exactly the depth ambiguity the
     Chamfer term resolves.
     """
-    cam_z = (pred_pose.data @ calib.rotation.T + calib.translation)[:, 2]
+    cam_z = calib.to_camera(pred_pose.data)[:, 2]
     in_front = cam_z > Z_MIN
     if kp.visibility.any() and not in_front[kp.visibility].all():
         log.warning("projection_loss: masking joints behind the camera")
@@ -153,23 +153,20 @@ def chamfer(a, b) -> ad.Tensor:
         raise InvalidInputError(f"chamfer wants two (n, d) sets, got {av.shape}, {bv.shape}")
     if av.shape[0] == 0 or bv.shape[0] == 0:
         raise InvalidInputError("chamfer is undefined for empty point sets")
-    m, n = av.shape[0], bv.shape[0]
-    d2 = ((av[:, None, :] - bv[None, :, :]) ** 2).sum(axis=2)
+    d2 = sq_dists(av, bv)
     a_to_b = d2.argmin(axis=1)
     b_to_a = d2.argmin(axis=0)
-    value = d2[np.arange(m), a_to_b].mean() + d2[b_to_a, np.arange(n)].mean()
+    value = d2[np.arange(len(av)), a_to_b].mean() + d2[b_to_a, np.arange(len(bv))].mean()
+    return ad.record_op(value, [
+        (a, lambda g: g * _chamfer_grad(av, bv, a_to_b, b_to_a)),
+        (b, lambda g: g * _chamfer_grad(bv, av, b_to_a, a_to_b))])
 
-    def vjp_a(g):
-        grad = (2.0 / m) * (av - bv[a_to_b])
-        np.add.at(grad, b_to_a, (2.0 / n) * (av[b_to_a] - bv))
-        return g * grad
 
-    def vjp_b(g):
-        grad = (2.0 / n) * (bv - av[b_to_a])
-        np.add.at(grad, a_to_b, (2.0 / m) * (bv[a_to_b] - av))
-        return g * grad
-
-    return ad.record_op(value, [(a, vjp_a), (b, vjp_b)])
+def _chamfer_grad(x, y, x_to_y, y_to_x) -> np.ndarray:
+    """Gradient of the Chamfer value in ``x``, given each set's nearest rows in the other."""
+    grad = (2.0 / len(x)) * (x - y[x_to_y])
+    np.add.at(grad, y_to_x, (2.0 / len(y)) * (x[y_to_x] - y))
+    return grad
 
 
 def chamfer_agu_loss(pred_pose, cloud: np.ndarray, samples_per_bone: int) -> ad.Tensor:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, InvalidInputError
-from .geometry import JOINT_NAMES, ROOT_INDEX, Pose3D, interpolation_matrix
+from .geometry import JOINT_NAMES, ROOT_INDEX, Pose3D, interpolation_matrix, sq_dists
 
 PCK_THRESHOLD_MM = 150.0
 
@@ -57,10 +57,10 @@ def cd_metric(pose: np.ndarray, cloud: np.ndarray, samples_per_bone: int = 3,
     skeleton point set.
     """
     cloud = np.asarray(cloud, dtype=np.float64)
-    if cloud.ndim != 2 or cloud.shape[0] == 0:
-        raise InvalidInputError("cd_metric needs a non-empty cloud")
+    if cloud.ndim != 2 or cloud.shape[1] != 3 or cloud.shape[0] == 0:
+        raise InvalidInputError("cd_metric needs a non-empty (m, 3) cloud")
     aug = interpolation_matrix(samples_per_bone) @ np.asarray(pose, dtype=np.float64)
-    d2 = ((cloud[:, None, :] - aug[None, :, :]) ** 2).sum(axis=2)
+    d2 = sq_dists(cloud, aug)
     fwd = d2.min(axis=1)
     bwd = d2.min(axis=0)
     if squared:

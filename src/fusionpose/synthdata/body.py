@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidInputError
-from ..geometry import BONES, JOINT_NAMES, N_JOINTS, ROOT_INDEX, Pose3D
+from ..geometry import BONES, JOINT_NAMES, N_JOINTS, ROOT_INDEX, Pose3D, rot_z
 
 # Person-local rest joint offsets relative to the mid-hip root.
 # Axes: x = person's left, y = forward, z = up. Meters at scale 1.
@@ -142,11 +142,6 @@ def _rot_x(theta: float) -> np.ndarray:
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
-def _rot_z(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
 def pose_at(script: MotionScript, body: BodyModel, t: float) -> Pose3D:
     """Deterministic analytic pose at time t, world coordinates."""
     root_xy, heading = script.root_at(t)
@@ -169,7 +164,7 @@ def pose_at(script: MotionScript, body: BodyModel, t: float) -> Pose3D:
         accum[c] = rot
         local[c] = local[p] + rot @ (rest[c] - rest[p])
 
-    hz = _rot_z(heading - math.pi / 2.0)  # local +y (forward) -> heading
+    hz = rot_z(heading - math.pi / 2.0)  # local +y (forward) -> heading
     world = local @ hz.T
     world[:, 0] += root_xy[0]
     world[:, 1] += root_xy[1]

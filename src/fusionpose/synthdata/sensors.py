@@ -259,7 +259,7 @@ def render_raster(posed: list[tuple[Pose3D, BodyModel]], calib: Calibration,
     t, idx, owner = _cast_rays(origin, world_dirs, posed)
     hit = np.isfinite(t)
     pts = origin + t[hit, None] * world_dirs[hit]
-    z = (pts @ calib.rotation.T + calib.translation)[:, 2]
+    z = calib.to_camera(pts)[:, 2]
     pid = owner[idx[hit]]
     flat = np.zeros((height * width, 3), dtype=np.float32)
     flat[hit, 0] = 1.0 / z

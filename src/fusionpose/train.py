@@ -29,7 +29,7 @@ import numpy as np
 from . import autodiff as ad
 from .config import RunConfig
 from .dataio import InstanceDataset, InstanceSample
-from .errors import CheckpointMismatchError, InvalidInputError
+from .errors import CheckpointMismatchError, ContractError, InvalidInputError
 from .geometry import N_JOINTS, Pose2D
 from .gtguard import GT_GUARD
 from .losses import (LossWeights, chamfer_agu_loss, consistency_loss,
@@ -81,8 +81,9 @@ def sequence_loss(model: FusionPoseModel, windows: list[list[ModelFrame]],
     once over the B windows, so each frame step t gives (B*k, .) rows,
     window-major. The motion term runs once per step on them, the
     consistency term once on all steps, the projection term once per
-    (t, calibration), and Chamfer once per (window, t), because the
-    clouds are ragged.
+    step with the calibration every window holds there (ContractError
+    otherwise), and Chamfer once per (window, t), because the clouds are
+    ragged.
     """
     n, k, steps = len(windows), N_JOINTS, range(len(windows[0]))
     outs = model.temporal(
@@ -97,19 +98,11 @@ def sequence_loss(model: FusionPoseModel, windows: list[list[ModelFrame]],
     consistency = consistency_loss([o.features for o in outs])
     components["consistency"] = ad.scale(consistency, float(len(outs)))
 
-    proj = []
-    for t in steps:
-        # windows of one segment share a calibration; Trainer.overfit's may not
-        by_calib: dict[int, list[int]] = {}
-        for b, window in enumerate(windows):
-            by_calib.setdefault(id(window[t].calib), []).append(b)
-        for group in by_calib.values():
-            pose = outs[t].final_pose if len(group) == n else ad.concat(
-                [ad.narrow(outs[t].final_pose, 0, b * k, k) for b in group])
-            proj.append(projection_loss(
-                pose, _stack([samples[b].frames[t].kp for b in group]),
-                windows[group[0]][t].calib))
-    components["proj"] = _sum(proj)
+    calibs = [windows[0][t].calib for t in steps]
+    if any(window[t].calib is not calibs[t] for window in windows for t in steps):
+        raise ContractError("a segment's windows must share one calibration per frame step")
+    components["proj"] = _sum([projection_loss(outs[t].final_pose, kps[t], calibs[t])
+                               for t in steps])
 
     components["cd_agu"] = _sum([
         chamfer_agu_loss(ad.narrow(outs[t].final_pose, 0, b * k, k),
@@ -243,8 +236,10 @@ def load_checkpoint(store: ParameterStore, path: str | Path,
 
 
 def latest_checkpoint(checkpoint_dir: str | Path) -> Path | None:
-    """The newest checkpoint that parses; unreadable ones are skipped."""
-    for path in sorted(Path(checkpoint_dir).glob("epoch_*.fpck"), reverse=True):
+    """The readable ``epoch_<n>.fpck`` of highest n; unreadable ones are skipped."""
+    numbered = [(int(p.stem[len("epoch_"):]), p) for p in Path(checkpoint_dir).glob("epoch_*.fpck")
+                if p.stem[len("epoch_"):].isdecimal()]
+    for _, path in sorted(numbered, reverse=True):
         try:
             ParameterStore.read_entries(path)
         except (CheckpointMismatchError, OSError) as exc:
@@ -358,8 +353,10 @@ class Trainer:
         return self.log_rows
 
     def overfit(self, steps: int) -> list[dict]:
-        """Single fixed batch, repeated; the standard optimization smoke test."""
-        batch = self.train_samples[: self.cfg.batch_size]
+        """The first segment of ``batch_size`` windows, repeated; the optimization smoke test."""
+        _, run = next(itertools.groupby(
+            self.train_samples, key=lambda s: (s.sequence_name, s.track_id)))
+        batch = list(itertools.islice(run, self.cfg.batch_size))
         with GT_GUARD.forbid():
             return [{"epoch": 0, "step": step, **self._step(batch)}
                     for step in range(steps)]

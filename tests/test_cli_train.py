@@ -112,6 +112,28 @@ def test_eval_untrained_model_is_finite(workdir, tmp_path, capsys):
     assert np.isfinite(float(values["mpjpe_mm"]))
 
 
+def test_each_eval_mode_writes_its_own_default_report(workdir, tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(TINY_CFG
+                       .replace("paths.dataset_dir = data",
+                                f"paths.dataset_dir = {workdir / 'data'}")
+                       .replace("optim.epochs = 2", "optim.epochs = 1"))
+    assert main(["train", "--config", str(cfgfile)]) == 0
+    reports = tmp_path / "reports"
+    assert main(["eval", "--config", str(cfgfile)]) == 0
+    model_only = {name: (reports / name).read_bytes()
+                  for name in ("metrics_val.csv", "metrics_val_windows.csv")}
+    for flag in ("--baseline", "--oracle"):
+        assert main(["eval", "--config", str(cfgfile), flag]) == 0
+        name = f"metrics_val_{flag[2:]}.csv"
+        assert f"report: {reports / name}" in capsys.readouterr().out
+        assert (reports / name).read_bytes() != model_only["metrics_val.csv"]
+        assert (reports / f"metrics_val_{flag[2:]}_windows.csv").exists()
+    for name, data in model_only.items():
+        assert (reports / name).read_bytes() == data
+    assert "\nval,100.0," in (reports / "metrics_val_oracle.csv").read_text()
+
+
 def test_export_gt_scores_pck_100(workdir, tmp_path):
     cfg = cfg_path(workdir)
     out = tmp_path / "gt_poses.csv"

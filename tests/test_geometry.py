@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionpose.errors import EmptyCropError, InvalidInputError
 from fusionpose.geometry import (BONES, JOINT_NAMES, N_JOINTS, ROOT_INDEX,
                                  Calibration, Pose3D, crop_image, crop_points,
                                  downsample, interpolation_matrix, project,
-                                 unproject)
+                                 rot_z, sq_dists, unproject)
 from fusionpose.synthdata import body
 from fusionpose.synthdata.generate import default_calibration
 
@@ -89,7 +91,59 @@ def test_project_equivariant_under_world_translation():
     assert np.abs(base - shifted).max() < 1e-9
 
 
+# -- squared distances ----------------------------------------------------------
+
+
+def _cloud_pair(m, n, d, seed, shared):
+    """Random (m, d) and (n, d) sets with ``shared`` points of ``a`` repeated in ``b``
+    and a point of each set repeated within it."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(m, d)) * rng.choice([1e-3, 1.0, 50.0])
+    b = rng.normal(size=(n, d))
+    a[-1], b[-1] = a[0], b[0]
+    k = min(shared, m, n)
+    b[:k] = a[rng.choice(m, k, replace=False)]
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(1, 200), n=st.integers(1, 200), d=st.sampled_from([2, 3]),
+       seed=st.integers(0, 2**32 - 1), shared=st.integers(0, 5))
+def test_sq_dists_is_bit_equal_to_the_summed_squared_differences(m, n, d, seed, shared):
+    a, b = _cloud_pair(m, n, d, seed, shared)
+    got = sq_dists(a, b)
+    assert got.shape == (m, n)
+    np.testing.assert_array_equal(got, ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+    if shared:
+        assert (got == 0.0).sum() >= min(shared, m, n)
+
+
 # -- downsample -----------------------------------------------------------------
+
+
+def reference_fps(points, n):
+    """Farthest-point sampling as ``downsample`` computed it with whole-row distances."""
+    seed_idx = int(np.argmin(((points - points.mean(axis=0)) ** 2).sum(axis=1)))
+    chosen = np.empty(n, dtype=np.int64)
+    chosen[0] = seed_idx
+    dist = ((points - points[seed_idx]) ** 2).sum(axis=1)
+    for i in range(1, n):
+        nxt = int(np.argmax(dist))
+        chosen[i] = nxt
+        dist = np.minimum(dist, ((points - points[nxt]) ** 2).sum(axis=1))
+    return points[chosen]
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(129, 600), n=st.sampled_from([16, 64, 128]),
+       seed=st.integers(0, 2**32 - 1), repeats=st.integers(0, 200))
+def test_downsample_picks_the_points_of_whole_row_fps(m, n, seed, repeats):
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(m, 3)) * [0.3, 0.3, 0.9]
+    # repeated points tie in every distance, and ties go to the first index
+    k = min(repeats, m - 1)
+    pts[rng.choice(m, k, replace=False)] = pts[rng.integers(m, size=k)]
+    np.testing.assert_array_equal(downsample(pts, n), reference_fps(pts, n))
 
 
 def test_downsample_exact_count_is_same_set():
@@ -212,6 +266,14 @@ def test_crop_points_unit_box_keeps_inner_points():
     out = crop_points(pts, np.zeros(3), np.ones(3))
     assert len(out) == 6
     assert np.abs(out).max() == pytest.approx(0.4)
+
+
+def test_z_rotation_turns_x_toward_y():
+    np.testing.assert_array_equal(rot_z(0.0), np.eye(3))
+    np.testing.assert_allclose(rot_z(np.pi / 2) @ [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                               atol=1e-16)
+    r = rot_z(0.7)
+    np.testing.assert_allclose(r @ r.T, np.eye(3), atol=1e-15)
 
 
 def test_crop_points_respects_yaw():

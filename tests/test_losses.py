@@ -231,6 +231,36 @@ def test_chamfer_gradient_matches_finite_differences():
         assert abs(fd - g.reshape(-1)[i]) < 1e-4 * max(1.0, abs(fd))
 
 
+def reference_chamfer_grads(av, bv):
+    """Chamfer's gradients in each set, as two mirror-image expressions."""
+    d2 = ((av[:, None, :] - bv[None, :, :]) ** 2).sum(axis=2)
+    a_to_b, b_to_a = d2.argmin(axis=1), d2.argmin(axis=0)
+    m, n = len(av), len(bv)
+    grad_a = (2.0 / m) * (av - bv[a_to_b])
+    np.add.at(grad_a, b_to_a, (2.0 / n) * (av[b_to_a] - bv))
+    grad_b = (2.0 / n) * (bv - av[b_to_a])
+    np.add.at(grad_b, a_to_b, (2.0 / m) * (bv[a_to_b] - av))
+    return grad_a, grad_b
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_chamfer_gradients_are_bit_equal_to_the_two_mirror_vjps(seed):
+    rng = np.random.default_rng(seed)
+    # a few centres, each the nearest neighbour of many cloud rows and of
+    # several skeleton rows, one of them repeated so nearest rows tie
+    centres = rng.normal(size=(4, 3))
+    av = centres[rng.integers(4, size=60)] + rng.normal(size=(60, 3)) * 0.05
+    bv = np.concatenate([centres + rng.normal(size=(4, 3)) * 0.01, centres[:1]])
+    assert len(set(((av[:, None] - bv) ** 2).sum(-1).argmin(axis=1))) < len(av)
+    a, b = ad.Tensor(av.copy()), ad.Tensor(bv.copy())
+    with ad.Tape() as tape:
+        loss = chamfer(a, b)
+    got = ad.backward(tape, loss, {"a": a, "b": b})
+    want_a, want_b = reference_chamfer_grads(av, bv)
+    np.testing.assert_array_equal(got["a"], want_a)
+    np.testing.assert_array_equal(got["b"], want_b)
+
+
 def test_chamfer_agu_s0_reduces_to_plain_chamfer():
     rng = np.random.default_rng(13)
     pose = rng.normal(size=(21, 3))

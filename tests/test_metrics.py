@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from fusionpose.errors import ContractError
+from fusionpose.errors import ContractError, InvalidInputError
 from fusionpose.geometry import ROOT_INDEX, interpolation_matrix
 from fusionpose.metrics import (MetricAccumulator, cd_metric, joint_errors_mm,
                                 mpjpe, pck)
@@ -54,6 +54,12 @@ def test_cd_metric_zero_on_skeleton_cloud():
     pose = rng.normal(size=(K, 3))
     cloud = interpolation_matrix(3) @ pose
     assert cd_metric(pose, cloud, 3) == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("cloud", [np.zeros((0, 3)), np.zeros((5, 2)), np.zeros(3)])
+def test_cd_metric_rejects_clouds_that_are_not_non_empty_m_by_3(cloud):
+    with pytest.raises(InvalidInputError):
+        cd_metric(np.zeros((K, 3)), cloud)
 
 
 def test_cd_metric_known_offset():

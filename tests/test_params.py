@@ -144,6 +144,15 @@ def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
     assert latest_checkpoint(tmp_path) == first
 
 
+def test_latest_checkpoint_orders_epochs_by_number(tmp_path):
+    for epoch in (998, 999, 1000):
+        small_store(seed=epoch).save(tmp_path / f"epoch_{epoch:03d}.fpck")
+    small_store().save(tmp_path / "epoch_last.fpck")  # no epoch number: never picked
+    assert latest_checkpoint(tmp_path) == tmp_path / "epoch_1000.fpck"
+    (tmp_path / "epoch_1000.fpck").write_bytes(b"FPCK")  # unreadable: skipped
+    assert latest_checkpoint(tmp_path) == tmp_path / "epoch_999.fpck"
+
+
 def test_checkpoint_with_legacy_best_val_pck_loads(tmp_path):
     cfg = ModelConfig(n_points=16, width=16, image_hw=16, joint_feat_dim=4,
                       head_hidden=8)

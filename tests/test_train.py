@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from fusionpose import autodiff as ad
 from fusionpose.config import parse_config_text
 from fusionpose.dataio import InstanceDataset, load_split
+from fusionpose.errors import ContractError
 from fusionpose.geometry import Pose2D
 from fusionpose.losses import (chamfer_agu_loss, consistency_loss, motion_loss,
                                projection_loss, total_loss)
@@ -117,7 +118,7 @@ def test_batch_gradients_match_per_window_tapes(tiny):
 
 
 def _frame_case(frame_sample, draw):
-    """``frame_sample`` with drawn keypoint visibility, box center and calibration."""
+    """``frame_sample`` with drawn keypoint visibility and box center."""
     mf, kp = frame_sample.model_input, frame_sample.kp
     visibility = draw(st.sampled_from(["kept", "random", "none"]))
     if visibility == "random":
@@ -129,8 +130,6 @@ def _frame_case(frame_sample, draw):
         axis = mf.calib.rotation[2]
         depth = axis @ mf.box_center + mf.calib.translation[2]
         mf = dataclasses.replace(mf, box_center=mf.box_center - (depth + 1.0) * axis)
-    if draw(st.booleans()):  # an equal calibration that is another object
-        mf = dataclasses.replace(mf, calib=dataclasses.replace(mf.calib))
     return dataclasses.replace(frame_sample, model_input=mf, kp=kp)
 
 
@@ -164,6 +163,39 @@ def test_segment_step_matches_per_window_tapes(tiny, case):
                                    atol=1e-12 * np.abs(want[path]).max(), err_msg=path)
     if invisible:  # frames with no usable joints add exactly 0
         assert got_means["motion"] == got_means["proj"] == 0.0
+
+
+def test_a_segment_whose_windows_hold_two_calibration_objects_is_refused(tiny):
+    cfg, data = tiny
+    batch = overlapping_batch(data)
+    last = batch[-1]
+    fs = last.frames[-1]  # held by the last window only
+    other = dataclasses.replace(fs.model_input, calib=dataclasses.replace(fs.model_input.calib))
+    batch[-1] = dataclasses.replace(last, frames=[*last.frames[:-1], dataclasses.replace(
+        fs, model_input=other)])
+    model, store = build_model(cfg.model_config(), 7)
+    with pytest.raises(ContractError, match="one calibration"):
+        batch_gradients(model, store, data, batch, cfg.loss_weights(), cfg.bone_samples)
+
+
+def test_overfit_repeats_the_first_segment_of_the_first_track(tiny, monkeypatch):
+    cfg, data = tiny
+    model, store = build_model(cfg.model_config(), 7)
+    trainer = Trainer(cfg, data, model, store)
+    track = (trainer.train_samples[0].sequence_name, trainer.train_samples[0].track_id)
+    run = [s for s in trainer.train_samples if (s.sequence_name, s.track_id) == track]
+    rest = [s for s in trainer.train_samples if (s.sequence_name, s.track_id) != track]
+    assert len(run) >= cfg.batch_size and rest
+    # a run shorter than batch_size gives the whole run and never a window of another track
+    trainer.train_samples = run[:cfg.batch_size - 1] + rest
+    seen = []
+    monkeypatch.setattr(trainer, "_step", lambda batch: seen.append(batch) or {"total": 0.0})
+    trainer.overfit(2)
+    assert seen == [run[:cfg.batch_size - 1]] * 2
+    trainer.train_samples = run
+    seen.clear()
+    trainer.overfit(1)
+    assert seen == [run[:cfg.batch_size]]
 
 
 def test_each_frame_encoded_twice_and_the_batch_run_through_the_temporal_part_once(
