@@ -3,7 +3,11 @@
 2D and 3D detections of the same person are paired by projecting the 3D
 box corners into the image and matching rectangles with minimum-cost
 assignment (cost 1 - IoU). Tracking then links paired detections across
-frames on 3D center distance. Both use the same assignment solver.
+frames on 3D center distance. Both use the same assignment solver,
+`hungarian`: a lexicographic tie-break over an in-house port of the
+rectangular shortest-augmenting-path algorithm (Crouse, "On implementing
+2D rectangular assignment algorithms", IEEE TAES 2016) that scipy's
+``linear_sum_assignment`` runs, so numpy is the only dependency.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidInputError
 from .geometry import Calibration, Pose2D, project, rot_z
@@ -49,9 +52,70 @@ class Detection3D:
         return local @ rot_z(self.yaw).T + np.array(self.center)
 
 
-def _assignment_entries(cost: np.ndarray) -> list[float]:
-    rows, cols = linear_sum_assignment(cost)
-    return [float(cost[r, c]) for r, c in zip(rows, cols)]
+def _min_cost_columns(cost: list[list[float]]) -> list[int]:
+    """The column each row takes in a min-cost assignment, -1 for none.
+
+    A port of scipy's ``linear_sum_assignment`` (Crouse 2016): one
+    shortest augmenting path per row over reduced costs, then the dual
+    updates, on a matrix with no more rows than columns (a taller one is
+    solved transposed). Ties resolve exactly as in scipy because every
+    step is kept: the reduced cost is summed in the same order, the pivot
+    is the lowest reduced cost with an unassigned column winning a tie,
+    and the unvisited columns are scanned from the last one down, a
+    visited column being replaced by the last one in the list.
+    """
+    n_rows = len(cost)
+    n_cols = len(cost[0]) if n_rows else 0
+    if n_cols == 0:
+        return [-1] * n_rows
+    if n_cols < n_rows:
+        col4row = [-1] * n_rows
+        for j, i in enumerate(_min_cost_columns([list(c) for c in zip(*cost)])):
+            col4row[i] = j
+        return col4row
+    u, v = [0.0] * n_rows, [0.0] * n_cols
+    path, row4col, col4row = [-1] * n_cols, [-1] * n_cols, [-1] * n_rows
+    for cur in range(n_rows):
+        shortest = [math.inf] * n_cols
+        remaining = list(range(n_cols - 1, -1, -1))
+        seen_rows, seen_cols = [], []
+        min_val, i, sink = 0.0, cur, -1
+        while sink < 0:
+            seen_rows.append(i)
+            row, ui = cost[i], u[i]
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - ui - v[j]
+                if r < shortest[j]:
+                    path[j], shortest[j] = i, r
+                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] < 0):
+                    index, lowest = it, shortest[j]
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            seen_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in seen_rows[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in seen_cols:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
+def _assigned_entries(cost: list[list[float]], col4row: list[int]) -> list[float]:
+    return [row[j] for row, j in zip(cost, col4row) if j >= 0]
 
 
 def hungarian(cost) -> list[tuple[int, int]]:
@@ -61,6 +125,8 @@ def hungarian(cost) -> list[tuple[int, int]]:
     smallest (row, col) sequence is returned, which makes results stable
     for degenerate cost matrices. Totals are compared with exact
     (order-independent) float summation, so the tie test is reliable.
+    Each of the k steps solves O(k) sub-matrices in pure Python, so a
+    k x k matrix costs O(k^5): sized for the few people of one scene.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.size == 0:
@@ -70,31 +136,32 @@ def hungarian(cost) -> list[tuple[int, int]]:
     if not np.isfinite(cost).all():
         raise InvalidInputError("cost matrix contains non-finite entries")
 
+    table = cost.tolist()
     rows = list(range(cost.shape[0]))
     cols = list(range(cost.shape[1]))
     k = min(len(rows), len(cols))
     pairs: list[tuple[int, int]] = []
     while len(pairs) < k:
-        best = math.fsum(_assignment_entries(cost[np.ix_(rows, cols)]))
-        r = rows[0]
-        placed = False
-        for cj, c in enumerate(cols):
-            need = k - len(pairs) - 1
+        sub = [[table[r][c] for c in cols] for r in rows]
+        optimum = _min_cost_columns(sub)
+        best = math.fsum(_assigned_entries(sub, optimum))
+        need = k - len(pairs) - 1
+        for cj in range(len(cols)):
+            entries = []
             if need > 0:
-                rest = cost[np.ix_(rows[1:], cols[:cj] + cols[cj + 1:])]
-                entries = _assignment_entries(rest)
-            else:
-                entries = []
-            if math.fsum([float(cost[r, c])] + entries) == best:
-                pairs.append((r, c))
-                cols.remove(c)
-                rows.pop(0)
-                placed = True
+                rest = [row[:cj] + row[cj + 1:] for row in sub[1:]]
+                entries = _assigned_entries(rest, _min_cost_columns(rest))
+            if math.fsum([sub[0][cj]] + entries) == best:
                 break
-        if not placed:
-            # No optimal assignment uses this row (only possible when
-            # rows outnumber columns); drop it and continue.
-            rows.pop(0)
+        else:
+            # No column's total rounds to exactly ``best``: take the
+            # solver's own column for this row, or drop the row when no
+            # optimal assignment uses it (only possible when rows
+            # outnumber columns).
+            cj = optimum[0]
+        if cj >= 0:
+            pairs.append((rows[0], cols.pop(cj)))
+        rows.pop(0)
     return pairs
 
 
@@ -196,10 +263,11 @@ class Track:
 class InstanceTracker:
     """Greedy-free frame-to-frame tracker over paired detections.
 
-    Cost is Euclidean distance between 3D box centers, solved with the
-    assignment solver and gated; unmatched observations spawn tracks and
-    tracks unseen for more than ``max_misses`` frames retire. ``step``
-    must be called once per frame in order.
+    Cost is Euclidean distance between 3D box centers, solved with
+    `hungarian` (Crouse's shortest-augmenting-path solver under a
+    lexicographic tie-break) and gated; unmatched observations spawn
+    tracks and tracks unseen for more than ``max_misses`` frames retire.
+    ``step`` must be called once per frame in order.
     """
 
     def __init__(self, gate_distance: float = 1.0, max_misses: int = 3):

@@ -2,11 +2,11 @@
 
 Checkpoints use a flat little-endian binary layout (extension ``.fpck``):
 magic ``FPCK``, u32 version, u32 parameter count, then per parameter a
-u16 path length, the UTF-8 path, u8 rank, rank u32 dims, and the float64
-data. Optimizer moments are stored in the same file under reserved
-``__opt__.*`` paths so a checkpoint fully resumes training. A file is
-written under a temporary name and renamed into place, so a crash
-mid-write never leaves a truncated checkpoint under its real name.
+u16 path length, the UTF-8 path, u8 rank (at most 2), rank u32 dims, and
+the float64 data. Optimizer moments are stored in the same file under
+reserved ``__opt__.*`` paths so a checkpoint fully resumes training. A
+file is written under a temporary name and renamed into place, so a
+crash mid-write never leaves a truncated checkpoint under its real name.
 """
 
 from __future__ import annotations
@@ -138,6 +138,8 @@ class ParameterStore:
             except UnicodeDecodeError as exc:
                 raise CheckpointMismatchError(f"{path}: bad parameter name") from exc
             (rank,) = struct.unpack_from("<B", blob, take(1))
+            if rank > 2:
+                raise CheckpointMismatchError(f"{path}: {name} has rank {rank}, at most 2")
             dims = struct.unpack_from(f"<{rank}I", blob, take(4 * rank))
             n = math.prod(dims)  # a Python int: huge dims cannot wrap around
             arr = np.frombuffer(blob, dtype="<f8", count=n, offset=take(8 * n)).copy()

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..association import Detection2D, Detection3D
-from ..errors import InvalidInputError
-from ..geometry import Calibration, Pose2D, Pose3D, project
+from ..errors import EmptyCropError, InvalidInputError
+from ..geometry import Calibration, Pose2D, Pose3D, crop_points, project
 from .body import BodyModel, capsules_for
 
 _T_MIN = 1e-9
@@ -299,8 +299,11 @@ def simulate_detections(pose: Pose3D, person_points: np.ndarray,
 
     The 3D box is the labeled-point bounding box inflated ``inflate3d``
     with a jittered center; the 2D box is the projected-joint bounding
-    rectangle inflated ``inflate2d`` with jittered corners. A person with
-    no LiDAR points gets no 3D detection that frame.
+    rectangle inflated ``inflate2d`` with jittered corners. A person gets
+    no 3D detection that frame when the box holds none of their LiDAR
+    points: when they have none, or when the center jitter moves a small
+    box off the few they have. The test is ``crop_points``', so the crop
+    of every emitted box holds at least one of the person's points.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     det3d = None
@@ -309,7 +312,11 @@ def simulate_detections(pose: Pose3D, person_points: np.ndarray,
         hi = person_points.max(axis=0)
         center = (lo + hi) / 2.0 + rng.normal(0.0, jitter.center_sigma_m, size=3)
         size = np.maximum((hi - lo) * (1.0 + inflate3d), 0.05)
-        det3d = Detection3D(tuple(center), tuple(size), yaw=0.0)
+        try:
+            crop_points(person_points, center, size)
+            det3d = Detection3D(tuple(center), tuple(size), yaw=0.0)
+        except EmptyCropError:
+            pass
 
     det2d = None
     pixels, valid = project(pose.joints, calib)

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionpose.association import (Detection2D, Detection3D, InstanceTracker,
-                                    PairedObservation, Track, build_sequences,
-                                    hungarian, pair_2d_3d, projected_rect)
+                                    PairedObservation, Track, _min_cost_columns,
+                                    build_sequences, hungarian, pair_2d_3d,
+                                    projected_rect)
 from fusionpose.errors import InvalidInputError
 from fusionpose.synthdata.generate import default_calibration
 
@@ -82,6 +85,62 @@ def test_hungarian_assignment_invariant_under_constant_shift():
     for _ in range(20):
         cost = rng.uniform(0, 5, size=(4, 4))
         assert hungarian(cost) == hungarian(cost + 17.25)
+
+
+# On these 0.1-step matrices no column's sub-solve total rounds to exactly
+# the optimum for row 0, so the row takes the solver's own column.
+NEAR_TIES = [
+    ([[0.9, 1.9, 1.7, 1.9, 1.0], [1.3, 1.0, 0.9, 0.8, 1.1], [1.2, 0.8, 1.2, 1.3, 1.5],
+      [0.3, 0.1, 0.6, 0.4, 1.0], [1.9, 1.7, 0.5, 1.0, 0.3]],
+     [(0, 0), (1, 2), (2, 1), (3, 3), (4, 4)]),
+    # rows outnumber columns, yet every optimum uses row 0: dropping it
+    # leaves a best total of 3.1 against the optimum 2.3
+    ([[0.8, 0.9, 0.3, 1.1, 1.5, 0.0], [1.9, 1.6, 1.5, 1.7, 1.0, 0.8],
+      [1.8, 1.0, 0.8, 0.0, 1.9, 1.6], [1.2, 1.3, 1.2, 0.3, 1.9, 1.7],
+      [1.5, 0.1, 1.8, 0.1, 1.7, 0.3], [1.6, 0.0, 0.1, 1.4, 0.0, 1.5],
+      [1.1, 1.9, 1.0, 0.9, 0.9, 1.5]],
+     [(0, 5), (1, 4), (2, 3), (4, 1), (5, 2), (6, 0)]),
+]
+
+
+@pytest.mark.parametrize("cost, expected", NEAR_TIES)
+def test_hungarian_places_the_row_the_optimum_uses_on_near_ties(cost, expected):
+    pairs = hungarian(cost)
+    assert pairs == expected
+    total = math.fsum(cost[r][c] for r, c in pairs)
+    assert abs(total - brute_force_min_cost(np.array(cost))) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(tenths=st.integers(4, 7).flatmap(lambda m: st.integers(4, 7).flatmap(
+    lambda n: st.lists(st.lists(st.integers(0, 20), min_size=n, max_size=n),
+                       min_size=m, max_size=m))))
+def test_hungarian_on_decimal_matrices_is_a_full_optimal_matching(tenths):
+    cost = np.array(tenths) / 10.0
+    pairs = hungarian(cost)
+    k = min(cost.shape)
+    assert len(pairs) == k
+    assert len({r for r, _ in pairs}) == k and len({c for _, c in pairs}) == k
+    total = math.fsum(float(cost[r, c]) for r, c in pairs)
+    assert abs(total - brute_force_min_cost(cost)) <= 1e-12
+
+
+def test_min_cost_columns_match_scipy():
+    """The solver takes scipy's column for every row, ties included."""
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(5)
+    for trial in range(900):
+        m, n = (int(x) for x in rng.integers(1, 8, size=2))
+        if trial % 3 == 0:
+            cost = rng.uniform(0, 10, size=(m, n))
+        elif trial % 3 == 1:
+            cost = rng.integers(0, 3, size=(m, n)).astype(float)
+        else:
+            cost = np.round(rng.uniform(0, 2, size=(m, n)), 1)
+        expected = [-1] * m
+        for r, c in zip(*optimize.linear_sum_assignment(cost)):
+            expected[r] = int(c)
+        assert _min_cost_columns(cost.tolist()) == expected, cost.tolist()
 
 
 # -- pair_2d_3d -----------------------------------------------------------------

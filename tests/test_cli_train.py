@@ -529,6 +529,15 @@ def test_cli_pins_blas_threads_before_numpy_loads():
     assert numpy_sees(OPENBLAS_NUM_THREADS="3") == ["3", "1"]
 
 
+def test_cli_import_loads_no_scipy():
+    """Association has its own solver: scipy is a test oracle only."""
+    probe = "import sys, fusionpose.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(fusionpose.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False"]
+
+
 def test_checkpoint_model_mismatch_exits_3(workdir, tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(TINY_CFG

@@ -1,12 +1,17 @@
+import logging
+
 import numpy as np
 import pytest
 
+from fusionpose.association import Detection2D, Detection3D, projected_rect
 from fusionpose.dataio import InstanceDataset, associate_sequence, load_split
 from fusionpose.gtguard import GT_GUARD
 from fusionpose.errors import ContractError, InvalidInputError
+from fusionpose.geometry import N_JOINTS
 from fusionpose.model import ModelConfig
 from fusionpose.synthdata.generate import (default_calibration, default_scene,
                                            generate_dataset)
+from fusionpose.synthdata.seqfile import FrameRecord, PersonFrame, SequenceData
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +155,32 @@ def test_gt_access_is_counted_and_forbidden_in_training_scope(dataset_dir):
     with GT_GUARD.forbid():
         with pytest.raises(ContractError):
             _ = sample.frames[0].gt_pose3d
+
+
+def standing_person(n_frames: int, empty_frame: int) -> SequenceData:
+    """One person standing still 6 m in front of the camera, detected in
+    every frame; in ``empty_frame`` their returns lie 1 m behind the 3D box."""
+    calib = default_calibration(64, 64)
+    det3d = Detection3D((6.0, 0.0, 0.9), (0.6, 0.6, 1.8))
+    det2d = Detection2D(projected_rect(det3d, calib))
+    returns = np.array([[6.0, 0.0, 0.9], [6.1, 0.1, 1.3], [5.9, -0.1, 0.4]])
+    frames = []
+    for f in range(n_frames):
+        points = returns + [1.0 * (f == empty_frame), 0.0, 0.0]
+        person = PersonFrame(np.zeros((N_JOINTS, 2)), np.ones(N_JOINTS, bool),
+                             det2d, det3d)
+        frames.append(FrameRecord(points, np.zeros((64, 64, 3), np.float32), [person]))
+    return SequenceData(calib, frames, has_gt=False)
+
+
+def test_windows_holding_an_empty_crop_are_dropped_and_counted(caplog):
+    seq = standing_person(n_frames=8, empty_frame=5)
+    with caplog.at_level(logging.WARNING, logger="fusionpose.dataio"):
+        data = InstanceDataset({"standing": seq}, model_cfg())
+    # windows start at frames 0-4; those starting at 2, 3 and 4 hold frame 5
+    assert [s.start_frame for s in data.samples] == [0, 1]
+    assert data._dropped == 3
+    assert "dropped 3 windows with empty 3D crops" in caplog.text
 
 
 def test_load_split_unknown_split(dataset_dir):

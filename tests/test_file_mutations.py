@@ -127,6 +127,8 @@ def tiny_checkpoint(tmp_path_factory):
 @example(mutation=("flip", ("__state__.epoch", 23), 0x80))
 # one letter of the first Adam moment's parameter path
 @example(mutation=("flip", ("__opt__.m.", 10), 0x01))
+# a path length one too long: the entry then parses as rank 63, first dimension 0
+@example(mutation=("flip", 24712127, 1))
 def test_mutated_checkpoint_loads_or_raises_package_error(tiny_checkpoint, tmp_path, mutation):
     blob, offsets = tiny_checkpoint
     path = tmp_path / "epoch_000.fpck"

@@ -105,6 +105,13 @@ def test_every_truncated_checkpoint_raises_mismatch(tmp_path):
             ParameterStore.read_entries(cut)
 
 
+def test_entry_of_rank_above_two_raises_mismatch_naming_it(tmp_path):
+    path = tmp_path / "m.fpck"
+    small_store().save(path, extra={"__opt__.cube": np.zeros((2, 2, 2))})
+    with pytest.raises(CheckpointMismatchError, match="__opt__.cube has rank 3"):
+        ParameterStore.read_entries(path)
+
+
 class _FailingFile:
     """Writes the first ``budget`` bytes, then fails like a full disk."""
 

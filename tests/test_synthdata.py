@@ -403,6 +403,28 @@ def test_person_with_no_points_gets_no_3d_detection():
     assert det3d is None and det2d is not None
 
 
+def test_every_3d_box_holds_one_of_its_persons_points():
+    """The center jitter (3 cm) can move a box of the 5 cm floor off a
+    person with 1-3 returns; such a box is not emitted, and the 2D box
+    keeps the bits it has with the full cloud (same generator draws)."""
+    calib, pose, pts = _person_setup()
+    rng = np.random.default_rng(0)
+    emitted = withheld = 0
+    for seed in range(300):
+        sparse = pts[rng.choice(len(pts), 1 + seed % 3, replace=False)]
+        if seed % 2:  # a tight cluster, so the box is at the size floor
+            sparse = sparse[:1] + rng.normal(0.0, 0.005, size=sparse.shape)
+        det2d, det3d = simulate_detections(pose, sparse, calib, DetectionJitter(), seed)
+        assert det2d == simulate_detections(pose, pts, calib, DetectionJitter(), seed)[0]
+        if det3d is None:
+            withheld += 1
+            continue
+        emitted += 1
+        half = np.asarray(det3d.size) / 2.0
+        assert (np.abs(sparse - np.asarray(det3d.center)) <= half).all(axis=1).any()
+    assert emitted and withheld
+
+
 # -- occlusion ----------------------------------------------------------------------
 
 
