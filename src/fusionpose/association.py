@@ -4,9 +4,9 @@
 box corners into the image and matching rectangles with minimum-cost
 assignment (cost 1 - IoU). Tracking then links paired detections across
 frames on 3D center distance. Both use the same assignment solver,
-`hungarian`: a lexicographic tie-break over an in-house port of the
-rectangular shortest-augmenting-path algorithm (Crouse, "On implementing
-2D rectangular assignment algorithms", IEEE TAES 2016) that scipy's
+`hungarian`: one solve of an in-house port of the rectangular
+shortest-augmenting-path algorithm (Crouse, "On implementing 2D
+rectangular assignment algorithms", IEEE TAES 2016) that scipy's
 ``linear_sum_assignment`` runs, so numpy is the only dependency.
 """
 
@@ -114,19 +114,14 @@ def _min_cost_columns(cost: list[list[float]]) -> list[int]:
     return col4row
 
 
-def _assigned_entries(cost: list[list[float]], col4row: list[int]) -> list[float]:
-    return [row[j] for row, j in zip(cost, col4row) if j >= 0]
-
-
 def hungarian(cost) -> list[tuple[int, int]]:
     """Globally optimal min-cost assignment of rows to columns.
 
-    Returns min(m, n) pairs. Among equal-cost optima the lexicographically
-    smallest (row, col) sequence is returned, which makes results stable
-    for degenerate cost matrices. Totals are compared with exact
-    (order-independent) float summation, so the tie test is reliable.
-    Each of the k steps solves O(k) sub-matrices in pure Python, so a
-    k x k matrix costs O(k^5): sized for the few people of one scene.
+    Returns the min(m, n) assigned (row, col) pairs in row order. Among
+    equal-cost optima the result is the one `_min_cost_columns` picks,
+    which is scipy's ``linear_sum_assignment`` choice, so degenerate
+    cost matrices still give one fixed answer. One solve, O(k^3) in the
+    worst case for a k x k matrix.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.size == 0:
@@ -135,34 +130,7 @@ def hungarian(cost) -> list[tuple[int, int]]:
         raise InvalidInputError(f"cost matrix must be 2D, got shape {cost.shape}")
     if not np.isfinite(cost).all():
         raise InvalidInputError("cost matrix contains non-finite entries")
-
-    table = cost.tolist()
-    rows = list(range(cost.shape[0]))
-    cols = list(range(cost.shape[1]))
-    k = min(len(rows), len(cols))
-    pairs: list[tuple[int, int]] = []
-    while len(pairs) < k:
-        sub = [[table[r][c] for c in cols] for r in rows]
-        optimum = _min_cost_columns(sub)
-        best = math.fsum(_assigned_entries(sub, optimum))
-        need = k - len(pairs) - 1
-        for cj in range(len(cols)):
-            entries = []
-            if need > 0:
-                rest = [row[:cj] + row[cj + 1:] for row in sub[1:]]
-                entries = _assigned_entries(rest, _min_cost_columns(rest))
-            if math.fsum([sub[0][cj]] + entries) == best:
-                break
-        else:
-            # No column's total rounds to exactly ``best``: take the
-            # solver's own column for this row, or drop the row when no
-            # optimal assignment uses it (only possible when rows
-            # outnumber columns).
-            cj = optimum[0]
-        if cj >= 0:
-            pairs.append((rows[0], cols.pop(cj)))
-        rows.pop(0)
-    return pairs
+    return [(i, j) for i, j in enumerate(_min_cost_columns(cost.tolist())) if j >= 0]
 
 
 def _rect_iou(a: tuple[float, float, float, float],
@@ -249,10 +217,6 @@ class Track:
     misses: int = 0
     retired: bool = False
 
-    @property
-    def age(self) -> int:
-        return len(self.history)
-
     def last_center(self) -> np.ndarray:
         for obs in reversed(self.history):
             if obs is not None:
@@ -264,8 +228,8 @@ class InstanceTracker:
     """Greedy-free frame-to-frame tracker over paired detections.
 
     Cost is Euclidean distance between 3D box centers, solved with
-    `hungarian` (Crouse's shortest-augmenting-path solver under a
-    lexicographic tie-break) and gated; unmatched observations spawn
+    `hungarian` (Crouse's shortest-augmenting-path solver, which breaks
+    ties as scipy does) and gated; unmatched observations spawn
     tracks and tracks unseen for more than ``max_misses`` frames retire.
     ``step`` must be called once per frame in order.
     """

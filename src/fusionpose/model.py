@@ -53,10 +53,6 @@ class ModelConfig:
             raise ConfigError(f"model.window must be >= 2, got {self.window}")
 
     @property
-    def n_tokens(self) -> int:
-        return (self.image_hw // 8) ** 2
-
-    @property
     def gru_hidden(self) -> int:
         return self.width // 2
 
@@ -275,7 +271,7 @@ class TemporalEstimator:
 
 def lookup_weights(points_world: np.ndarray, calib: Calibration,
                    box2d, image_hw: int) -> np.ndarray:
-    """Constant (m, n_tokens) bilinear gather matrix for m points.
+    """Constant (m, (image_hw // 8) ** 2) bilinear gather matrix for m points.
 
     Each row picks the token-grid neighborhood of the point's projected
     pixel mapped into the image crop; points projecting outside the crop

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fusionpose.association import (Detection2D, Detection3D, InstanceTracker,
@@ -50,7 +50,7 @@ def test_hungarian_rejects_non_finite():
 
 def test_hungarian_tie_break_is_lexicographic():
     assert hungarian(np.ones((3, 3))) == [(0, 0), (1, 1), (2, 2)]
-    # both diagonals optimal; lexicographic prefers (0, 0) first
+    # both diagonals optimal; the solver, like scipy, takes (0, 0) first
     assert hungarian(np.array([[1.0, 1.0], [1.0, 1.0]])) == [(0, 0), (1, 1)]
     # forced anti-diagonal
     assert hungarian(np.array([[2.0, 1.0], [1.0, 2.0]])) == [(0, 1), (1, 0)]
@@ -87,8 +87,8 @@ def test_hungarian_assignment_invariant_under_constant_shift():
         assert hungarian(cost) == hungarian(cost + 17.25)
 
 
-# On these 0.1-step matrices no column's sub-solve total rounds to exactly
-# the optimum for row 0, so the row takes the solver's own column.
+# 0.1-step matrices whose optima sum to totals that differ in the last bit;
+# the one solve still places row 0 and returns scipy's pairs.
 NEAR_TIES = [
     ([[0.9, 1.9, 1.7, 1.9, 1.0], [1.3, 1.0, 0.9, 0.8, 1.1], [1.2, 0.8, 1.2, 1.3, 1.5],
       [0.3, 0.1, 0.6, 0.4, 1.0], [1.9, 1.7, 0.5, 1.0, 0.3]],
@@ -99,7 +99,7 @@ NEAR_TIES = [
       [1.8, 1.0, 0.8, 0.0, 1.9, 1.6], [1.2, 1.3, 1.2, 0.3, 1.9, 1.7],
       [1.5, 0.1, 1.8, 0.1, 1.7, 0.3], [1.6, 0.0, 0.1, 1.4, 0.0, 1.5],
       [1.1, 1.9, 1.0, 0.9, 0.9, 1.5]],
-     [(0, 5), (1, 4), (2, 3), (4, 1), (5, 2), (6, 0)]),
+     [(0, 5), (2, 3), (3, 0), (4, 1), (5, 4), (6, 2)]),
 ]
 
 
@@ -115,6 +115,11 @@ def test_hungarian_places_the_row_the_optimum_uses_on_near_ties(cost, expected):
 @given(tenths=st.integers(4, 7).flatmap(lambda m: st.integers(4, 7).flatmap(
     lambda n: st.lists(st.lists(st.integers(0, 20), min_size=n, max_size=n),
                        min_size=m, max_size=m))))
+@example(tenths=[[9, 19, 17, 19, 10], [13, 10, 9, 8, 11], [12, 8, 12, 13, 15],
+                 [3, 1, 6, 4, 10], [19, 17, 5, 10, 3]])
+@example(tenths=[[8, 9, 3, 11, 15, 0], [19, 16, 15, 17, 10, 8], [18, 10, 8, 0, 19, 16],
+                 [12, 13, 12, 3, 19, 17], [15, 1, 18, 1, 17, 3], [16, 0, 1, 14, 0, 15],
+                 [11, 19, 10, 9, 9, 15]])
 def test_hungarian_on_decimal_matrices_is_a_full_optimal_matching(tenths):
     cost = np.array(tenths) / 10.0
     pairs = hungarian(cost)
@@ -125,22 +130,32 @@ def test_hungarian_on_decimal_matrices_is_a_full_optimal_matching(tenths):
     assert abs(total - brute_force_min_cost(cost)) <= 1e-12
 
 
+def scipy_cases(rng, trials, low, high):
+    """Uniform, integer-tie and 0.1-step matrices of m, n in [low, high]."""
+    for trial in range(trials):
+        m, n = (int(x) for x in rng.integers(low, high + 1, size=2))
+        if trial % 3 == 0:
+            yield rng.uniform(0, 10, size=(m, n))
+        elif trial % 3 == 1:
+            yield rng.integers(0, 3, size=(m, n)).astype(float)
+        else:
+            yield np.round(rng.uniform(0, 2, size=(m, n)), 1)
+
+
 def test_min_cost_columns_match_scipy():
-    """The solver takes scipy's column for every row, ties included."""
+    """The solver takes scipy's column for every row, ties included, and
+    `hungarian` returns scipy's pairs. Sizes up to 60 make a solve that
+    scales worse than O(k^3) slow enough to notice."""
     optimize = pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(5)
-    for trial in range(900):
-        m, n = (int(x) for x in rng.integers(1, 8, size=2))
-        if trial % 3 == 0:
-            cost = rng.uniform(0, 10, size=(m, n))
-        elif trial % 3 == 1:
-            cost = rng.integers(0, 3, size=(m, n)).astype(float)
-        else:
-            cost = np.round(rng.uniform(0, 2, size=(m, n)), 1)
-        expected = [-1] * m
-        for r, c in zip(*optimize.linear_sum_assignment(cost)):
+    cases = itertools.chain(scipy_cases(rng, 900, 1, 7), scipy_cases(rng, 60, 8, 60))
+    for cost in cases:
+        rows, cols = optimize.linear_sum_assignment(cost)
+        expected = [-1] * len(cost)
+        for r, c in zip(rows, cols):
             expected[r] = int(c)
         assert _min_cost_columns(cost.tolist()) == expected, cost.tolist()
+        assert hungarian(cost) == [(int(r), int(c)) for r, c in zip(rows, cols)]
 
 
 # -- pair_2d_3d -----------------------------------------------------------------
@@ -218,7 +233,7 @@ def test_single_stationary_detection_keeps_one_track():
     assert len(tracker.tracks) == 1
     track = tracker.tracks[0]
     assert track.track_id == 0
-    assert track.age == 5 and track.misses == 0
+    assert len(track.history) == 5 and track.misses == 0
 
 
 def test_two_far_apart_persons_never_swap():
@@ -274,6 +289,12 @@ def test_track_ids_are_never_reused():
 def test_tracks_retire_after_max_misses():
     tracker = InstanceTracker(max_misses=3)
     tracker.step([obs_at(5, 0)])
+    for _ in range(3):
+        tracker.step([])
+    assert not tracker.tracks[0].retired
+    seen = obs_at(5, 0)
+    tracker.step([seen])
+    assert len(tracker.tracks) == 1 and tracker.tracks[0].history[-1] is seen
     for _ in range(4):
         tracker.step([])
     assert tracker.tracks[0].retired

@@ -142,6 +142,19 @@ def test_projection_loss_three_pixel_offset():
     assert float(loss.data) == pytest.approx(3.0 / K)
 
 
+def test_projection_loss_of_a_frame_with_one_usable_joint_is_its_distance():
+    calib = default_calibration(96, 96)
+    rng = np.random.default_rng(6)
+    pose = make_pose_in_view(rng)
+    from fusionpose.geometry import project
+    pixels, _ = project(pose, calib)
+    pixels[7] += (3.0, 4.0)
+    visible = np.zeros(K, dtype=bool)
+    visible[7] = True
+    loss = projection_loss(ad.Tensor(pose), Pose2D(pixels, visible), calib)
+    assert float(loss.data) == pytest.approx(5.0)
+
+
 def test_projection_invariant_along_camera_ray():
     calib = default_calibration(96, 96)
     rng = np.random.default_rng(7)

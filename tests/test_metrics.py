@@ -72,6 +72,19 @@ def test_cd_metric_known_offset():
     assert got == pytest.approx(50.0)  # mm
 
 
+def test_cd_metric_averages_both_directions():
+    # a cloud on one joint: cloud-to-skeleton is 0, skeleton-to-cloud is not
+    rng = np.random.default_rng(6)
+    pose = rng.normal(size=(K, 3))
+    cloud = np.repeat(pose[3:4], 5, axis=0)
+    aug = interpolation_matrix(3) @ pose
+    fwd = [min(np.linalg.norm(c - a) for a in aug) for c in cloud]
+    bwd = [min(np.linalg.norm(a - c) for c in cloud) for a in aug]
+    expected = 0.5 * (np.mean(fwd) + np.mean(bwd)) * 1000.0
+    assert np.mean(bwd) > 0.0
+    assert cd_metric(pose, cloud, 3) == pytest.approx(expected, rel=1e-12)
+
+
 def test_cd_metric_squared_variant():
     pose = np.zeros((K, 3))
     cloud = np.full((4, 3), 0.0)

@@ -188,7 +188,7 @@ def test_any_point_count_gives_finite_outputs_of_documented_shapes(variant, m, s
     assert fused.shape == (m, cfg.width)
     assert np.isfinite(fused.data).all()
     if variant == "ipa":
-        assert affinity.shape == (m, cfg.n_tokens)
+        assert affinity.shape == (m, (cfg.image_hw // 8) ** 2)
         assert np.isfinite(affinity.data).all()
     for o in model.forward(frames):
         for out, shape in ((o.motion, (N_JOINTS, 2)),
