@@ -4,21 +4,18 @@ Checkpoints use a flat little-endian binary layout (extension ``.fpck``):
 magic ``FPCK``, u32 version, u32 parameter count, then per parameter a
 u16 path length, the UTF-8 path, u8 rank (at most 2), rank u32 dims, and
 the float64 data. Optimizer moments are stored in the same file under
-reserved ``__opt__.*`` paths so a checkpoint fully resumes training. A
-file is written under a temporary name and renamed into place, so a
-crash mid-write never leaves a truncated checkpoint under its real name.
+reserved ``__opt__.*`` paths so a checkpoint fully resumes training.
 """
 
 from __future__ import annotations
 
-import math
-import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import Tensor
+from .binfile import Reader, write_atomic
 from .errors import CheckpointMismatchError, ContractError
 
 _MAGIC = b"FPCK"
@@ -87,87 +84,33 @@ class ParameterStore:
         ]
         for key in sorted(extra or {}):
             entries.append((key, np.asarray(extra[key], dtype=np.float64)))
-        path = Path(path)
-        # The temporary name must not match the ``epoch_*.fpck`` glob.
-        tmp = path.with_name(path.name + ".tmp")
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(_MAGIC)
-                fh.write(struct.pack("<II", _VERSION, len(entries)))
-                for name, arr in entries:
-                    raw = name.encode("utf-8")
-                    fh.write(struct.pack("<H", len(raw)))
-                    fh.write(raw)
-                    fh.write(struct.pack("<B", arr.ndim))
-                    for dim in arr.shape:
-                        fh.write(struct.pack("<I", dim))
-                    fh.write(arr.astype("<f8").tobytes())
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        out = bytearray(_MAGIC)
+        out += struct.pack("<II", _VERSION, len(entries))
+        for name, arr in entries:
+            raw = name.encode("utf-8")
+            out += struct.pack(f"<H{len(raw)}sB{arr.ndim}I", len(raw), raw,
+                               arr.ndim, *arr.shape)
+            out += arr.astype("<f8").tobytes()
+        write_atomic(path, out)
 
     @staticmethod
     def read_entries(path: str | Path) -> dict[str, np.ndarray]:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        if blob[:4] != _MAGIC:
-            raise CheckpointMismatchError(f"{path}: not a checkpoint file")
-        offset = 4
-
-        def take(size: int) -> int:
-            nonlocal offset
-            if offset + size > len(blob):
-                raise CheckpointMismatchError(
-                    f"{path}: truncated at byte {len(blob)} "
-                    f"(needs {offset + size})")
-            start, offset = offset, offset + size
-            return start
-
-        version, count = struct.unpack_from("<II", blob, take(8))
+        cur = Reader(path, _MAGIC, "checkpoint", CheckpointMismatchError)
+        version, count = cur.unpack("<II")
         if version != _VERSION:
             raise CheckpointMismatchError(f"{path}: unsupported version {version}")
         entries: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (nlen,) = struct.unpack_from("<H", blob, take(2))
-            start = take(nlen)
+            (nlen,) = cur.unpack("<H")
             try:
-                name = blob[start : start + nlen].decode("utf-8")
+                name = cur.unpack(f"<{nlen}s")[0].decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise CheckpointMismatchError(f"{path}: bad parameter name") from exc
-            (rank,) = struct.unpack_from("<B", blob, take(1))
+            (rank,) = cur.unpack("<B")
             if rank > 2:
                 raise CheckpointMismatchError(f"{path}: {name} has rank {rank}, at most 2")
-            dims = struct.unpack_from(f"<{rank}I", blob, take(4 * rank))
-            n = math.prod(dims)  # a Python int: huge dims cannot wrap around
-            arr = np.frombuffer(blob, dtype="<f8", count=n, offset=take(8 * n)).copy()
-            entries[name] = arr.reshape(dims)
+            entries[name] = cur.array("<f8", cur.unpack(f"<{rank}I"))
         return entries
-
-    def load(self, path: str | Path) -> dict[str, np.ndarray]:
-        """Load parameter values in place; returns any ``__opt__``/extra entries."""
-        entries = self.read_entries(path)
-        extra = {k: v for k, v in entries.items() if k.startswith("__")}
-        own = {k: v for k, v in entries.items() if not k.startswith("__")}
-        if set(own) != set(self._params):
-            missing = sorted(set(self._params) - set(own))[:3]
-            surplus = sorted(set(own) - set(self._params))[:3]
-            raise CheckpointMismatchError(
-                f"{path}: parameter set mismatch (missing {missing}, surplus {surplus})"
-            )
-        for key, arr in own.items():
-            t = self._params[key]
-            if arr.shape != t.data.shape:
-                raise CheckpointMismatchError(
-                    f"{path}: {key} has shape {arr.shape}, expected {t.data.shape}"
-                )
-            if not np.isfinite(arr).all():
-                raise CheckpointMismatchError(f"{path}: {key} holds non-finite values")
-        for key, arr in own.items():
-            self._params[key].data = arr
-        return extra
 
 
 class Adam:

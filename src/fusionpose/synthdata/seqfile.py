@@ -34,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from ..association import Detection2D, Detection3D
+from ..binfile import Reader, write_atomic
 from ..errors import InvalidInputError
 from ..geometry import N_JOINTS, Calibration
 from ..gtguard import GT_GUARD
@@ -122,60 +123,30 @@ def write_sequence(path: str | Path, data: SequenceData) -> None:
                                    *person.det3d.size, person.det3d.yaw)
             else:
                 out += struct.pack("<B", 0)
-    Path(path).write_bytes(bytes(out))
-
-
-class _Cursor:
-    """Sequential reader that raises InvalidInputError past the end."""
-
-    def __init__(self, blob: bytes, path):
-        self.blob = blob
-        self.path = path
-        self.pos = 0
-
-    def _take(self, size: int) -> int:
-        if self.pos + size > len(self.blob):
-            raise InvalidInputError(
-                f"{self.path}: truncated at byte {len(self.blob)} "
-                f"(needs {self.pos + size})")
-        start = self.pos
-        self.pos += size
-        return start
-
-    def unpack(self, fmt: str):
-        return struct.unpack_from(fmt, self.blob, self._take(struct.calcsize(fmt)))
-
-    def array(self, dtype: str, count: int, shape) -> np.ndarray:
-        start = self._take(count * np.dtype(dtype).itemsize)
-        arr = np.frombuffer(self.blob, dtype=dtype, count=count, offset=start)
-        return arr.reshape(shape).copy()
+    write_atomic(path, out)
 
 
 def read_sequence(path: str | Path) -> SequenceData:
-    blob = Path(path).read_bytes()
-    if blob[: len(MAGIC)] != MAGIC:
-        raise InvalidInputError(f"{path}: not a sequence file")
-    cur = _Cursor(blob, path)
-    cur.pos = len(MAGIC)
+    cur = Reader(path, MAGIC, "sequence", InvalidInputError)
     version, n_frames, n_persons, h, w, has_gt = cur.unpack("<IIHHHB")
     if version != VERSION:
         raise InvalidInputError(f"{path}: unsupported version {version} "
                                 f"(this program reads version {VERSION}); "
                                 "regenerate the dataset with 'fusionpose generate'")
     fx, fy, cx, cy = cur.unpack("<4d")
-    rotation = cur.array("<f8", 9, (3, 3))
-    translation = cur.array("<f8", 3, (3,))
+    rotation = cur.array("<f8", (3, 3))
+    translation = cur.array("<f8", (3,))
     calib = Calibration(fx, fy, cx, cy, rotation, translation)
     frames = []
     for _ in range(n_frames):
         (n_pts,) = cur.unpack("<I")
-        points = cur.array("<f8", n_pts * 3, (n_pts, 3))
-        raster = cur.array("<f4", h * w * 3, (h, w, 3))
+        points = cur.array("<f8", (n_pts, 3))
+        raster = cur.array("<f4", (h, w, 3))
         persons = []
         for _ in range(n_persons):
-            kp = cur.array("<f8", N_JOINTS * 2, (N_JOINTS, 2))
-            vis = cur.array("u1", N_JOINTS, (N_JOINTS,)).astype(bool)
-            gt = cur.array("<f8", N_JOINTS * 3, (N_JOINTS, 3)) if has_gt else None
+            kp = cur.array("<f8", (N_JOINTS, 2))
+            vis = cur.array("u1", (N_JOINTS,)).astype(bool)
+            gt = cur.array("<f8", (N_JOINTS, 3)) if has_gt else None
             (flag2d,) = cur.unpack("<B")
             det2d = None
             if flag2d:
@@ -196,7 +167,7 @@ def write_manifest(dataset_dir: str | Path, files_by_split: dict[str, list[str]]
         for name in files_by_split[split]:
             lines.append(f"{split} {name}")
     path = Path(dataset_dir) / "manifest.txt"
-    path.write_text("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
     return path
 
 

@@ -144,49 +144,47 @@ def batch_gradients(model: FusionPoseModel, store: ParameterStore,
     g = ad.backward(tape, mean, {**dict(store.items()), **pooled})
     # a tape lives as long as its outputs: free each before the next runs
     del tape, mean
-    grads = {path: g[path] for path in store.paths() if path in g}
+    # each parameter's sum starts as zeros of its own, so adds go in
+    # place; a tape may reach none of it (e.g. image.* under point_rgb)
+    grads = {path: np.zeros_like(tensor.data) for path, tensor in store.items()}
+    for path, grad in g.items():
+        if path in grads:  # not a pooled leaf
+            grads[path] += grad
 
-    owned = set()  # paths whose array this step made, so adds go in place
     for key, frame in frames.items():
         if key not in g:
             continue  # the loss does not depend on this frame
         with ad.Tape() as tape:
             pushed = ad.sum_all(ad.mul(model.encode(frame), g[key]))
         for path, grad in ad.backward(tape, pushed, store).items():
-            if path in owned:
-                np.add(grads[path], grad, out=grads[path])
-            elif path in grads:  # a tape's array may be a view: copy on first add
-                grads[path] = grads[path] + grad
-                owned.add(path)
-            else:
-                grads[path] = grad
+            grads[path] += grad
         del tape, pushed
-    # parameters no tape reached (e.g. image.* under point_rgb) are zero
-    grads = {path: grads[path] if path in grads else np.zeros_like(tensor.data)
-             for path, tensor in store.items()}
     return grads, means
 
 
 # -- checkpoints --------------------------------------------------------------
 
-_CFG_KEYS = ("width", "image_hw", "window", "joint_feat_dim", "head_hidden")
+def _signature(model_cfg: ModelConfig) -> dict[str, int]:
+    """The ``__cfg__`` entries: each model key that fixes a parameter shape."""
+    keys = ("width", "image_hw", "window", "joint_feat_dim", "head_hidden")
+    return {**{key: getattr(model_cfg, key) for key in keys},
+            "fusion": FUSION_VARIANTS.index(model_cfg.fusion)}
 
 
 def save_checkpoint(store: ParameterStore, path: str | Path,
                     model_cfg: ModelConfig, state: TrainState) -> None:
     extra = dict(store.state)
-    for key in _CFG_KEYS:
-        extra[f"__cfg__.{key}"] = np.asarray(float(getattr(model_cfg, key)))
-    extra["__cfg__.fusion"] = np.asarray(float(FUSION_VARIANTS.index(model_cfg.fusion)))
+    for key, value in _signature(model_cfg).items():
+        extra[f"__cfg__.{key}"] = np.asarray(float(value))
     extra["__state__.epoch"] = np.asarray(float(state.epoch))
     extra["__state__.step"] = np.asarray(float(state.step))
     extra["__state__.seed"] = np.asarray(float(state.seed))
     store.save(path, extra)
 
 
-def _stored_count(extra: dict[str, np.ndarray], path, key: str) -> int:
+def _stored_count(entries: dict[str, np.ndarray], path, key: str) -> int:
     """The checkpoint entry ``key`` read as a count."""
-    value = extra.get(key)
+    value = entries.get(key)
     if value is None:
         raise CheckpointMismatchError(f"{path}: no {key} entry")
     if (value.shape != () or not np.isfinite(value) or value < 0
@@ -196,42 +194,50 @@ def _stored_count(extra: dict[str, np.ndarray], path, key: str) -> int:
     return int(value)
 
 
-def _optimizer_state(store: ParameterStore, extra: dict[str, np.ndarray],
-                     path) -> dict[str, np.ndarray]:
-    """The ``__opt__`` entries: none, or Adam's full state for ``store``."""
-    state = {k: v for k, v in extra.items() if k.startswith("__opt__")}
-    if not state:
-        return state  # saved by a store that had no optimizer yet
-    shapes = {"__opt__.t": ()}
-    for name, tensor in store.items():
-        shapes[f"__opt__.m.{name}"] = shapes[f"__opt__.v.{name}"] = tensor.data.shape
-    if set(state) != set(shapes):
-        odd = sorted(set(state) ^ set(shapes))[:3]
-        raise CheckpointMismatchError(
-            f"{path}: optimizer entries do not match the parameters ({odd})")
-    _stored_count(state, path, "__opt__.t")
-    for key, arr in state.items():
-        if arr.shape != shapes[key] or not np.isfinite(arr).all() or (
-                key.startswith("__opt__.v.") and (arr < 0).any()):
-            raise CheckpointMismatchError(
-                f"{path}: {key} is not a valid Adam moment of shape {shapes[key]}")
-    return state
-
-
 def load_checkpoint(store: ParameterStore, path: str | Path,
                     model_cfg: ModelConfig) -> TrainState:
-    extra = store.load(path)
-    for key in _CFG_KEYS:
-        stored = _stored_count(extra, path, f"__cfg__.{key}")
-        if stored != getattr(model_cfg, key):
+    """Load ``path`` into ``store`` (parameters and Adam's state); its TrainState.
+
+    Checks run so that the first failure names its cause: the model
+    signature, the train state, then every parameter and, when the file
+    has any, Adam's ``__opt__`` entries (key set, shape, finite values,
+    ``v >= 0``). Other ``__`` entries, such as the legacy
+    ``__cfg__.n_points``, are ignored. Nothing is loaded unless all pass.
+    """
+    entries = ParameterStore.read_entries(path)
+    for key, configured in _signature(model_cfg).items():
+        stored = _stored_count(entries, path, f"__cfg__.{key}")
+        if stored != configured:
+            names = dict(enumerate(FUSION_VARIANTS)) if key == "fusion" else {}
             raise CheckpointMismatchError(
-                f"{path}: checkpoint {key}={stored} does not match "
-                f"configured {getattr(model_cfg, key)}")
-    if _stored_count(extra, path, "__cfg__.fusion") != FUSION_VARIANTS.index(model_cfg.fusion):
-        raise CheckpointMismatchError(f"{path}: fusion variant mismatch")
-    state = TrainState(**{key: _stored_count(extra, path, f"__state__.{key}")
+                f"{path}: checkpoint model.{key}={names.get(stored, stored)} "
+                f"does not match configured {names.get(configured, configured)}")
+    state = TrainState(**{key: _stored_count(entries, path, f"__state__.{key}")
                           for key in ("epoch", "step", "seed")})
-    store.state = _optimizer_state(store, extra, path)
+
+    found = {k: v for k, v in entries.items()
+             if not k.startswith("__") or k.startswith("__opt__")}
+    shapes = {name: tensor.data.shape for name, tensor in store.items()}
+    if any(k.startswith("__opt__") for k in found):  # none: saved before any optimizer
+        _stored_count(entries, path, "__opt__.t")
+        shapes |= {"__opt__.t": (), **{f"__opt__.{moment}.{name}": shape
+                                       for moment in "mv" for name, shape in shapes.items()}}
+    if set(found) != set(shapes):
+        missing = sorted(set(shapes) - set(found))[:3]
+        surplus = sorted(set(found) - set(shapes))[:3]
+        raise CheckpointMismatchError(
+            f"{path}: entries do not match the model (missing {missing}, surplus {surplus})")
+    for key, arr in found.items():
+        if arr.shape != shapes[key]:
+            raise CheckpointMismatchError(
+                f"{path}: {key} has shape {arr.shape}, expected {shapes[key]}")
+        if not np.isfinite(arr).all():
+            raise CheckpointMismatchError(f"{path}: {key} holds non-finite values")
+        if key.startswith("__opt__.v.") and (arr < 0).any():
+            raise CheckpointMismatchError(f"{path}: {key} holds negative values")
+    for name, tensor in store.items():
+        tensor.data = found[name]
+    store.state = {k: v for k, v in found.items() if k.startswith("__opt__")}
     return state
 
 

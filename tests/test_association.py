@@ -48,7 +48,10 @@ def test_hungarian_rejects_non_finite():
         hungarian(np.array([[1.0, np.inf]]))
 
 
-def test_hungarian_tie_break_is_lexicographic():
+def test_hungarian_ties_take_scipys_assignment():
+    """Among equal-cost matchings the solver returns the one scipy's
+    ``linear_sum_assignment`` returns (``test_min_cost_columns_match_scipy``
+    pins that on random ties)."""
     assert hungarian(np.ones((3, 3))) == [(0, 0), (1, 1), (2, 2)]
     # both diagonals optimal; the solver, like scipy, takes (0, 0) first
     assert hungarian(np.array([[1.0, 1.0], [1.0, 1.0]])) == [(0, 0), (1, 1)]

@@ -549,6 +549,24 @@ def test_checkpoint_model_mismatch_exits_3(workdir, tmp_path):
     assert main(["eval", "--config", str(cfgfile)]) == 3
 
 
+@pytest.mark.parametrize("line, named", [
+    ("model.width = 64", "model.width=32 does not match configured 64"),
+    ("model.joint_feat_dim = 4", "model.joint_feat_dim=8 does not match configured 4"),
+    ("model.head_hidden = 8", "model.head_hidden=16 does not match configured 8"),
+    ("model.fusion = local", "model.fusion=ipa does not match configured local"),
+])
+def test_changed_model_key_is_named_on_load(workdir, tmp_path, capsys, line, named):
+    cfg = load_config(cfg_path(workdir))
+    _, store = build_model(cfg.model_config(), seed=cfg.seed)
+    ckpt = tmp_path / "epoch_000.fpck"
+    save_checkpoint(store, ckpt, cfg.model_config(), TrainState(seed=cfg.seed))
+    changed = tmp_path / "changed.cfg"
+    changed.write_text(Path(cfg_path(workdir)).read_text() + line + "\n")
+    capsys.readouterr()
+    assert main(["eval", "--config", str(changed), "--checkpoint", str(ckpt)]) == 3
+    assert f"{ckpt}: checkpoint {named}" in capsys.readouterr().err
+
+
 def test_checkpoint_with_a_stale_n_points_entry_loads(workdir, tmp_path):
     cfg = load_config(cfg_path(workdir))
     _, store = build_model(cfg.model_config(), seed=cfg.seed)

@@ -1,9 +1,8 @@
-import builtins
-
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fusionpose import params
 from fusionpose.errors import CheckpointMismatchError, ContractError
 from fusionpose.model import ModelConfig, build_model
 from fusionpose.params import Adam, ParameterStore
@@ -39,44 +38,57 @@ def test_same_seed_same_initialization():
     np.testing.assert_array_equal(a.data, b.data)
 
 
-def test_checkpoint_round_trip_exact(tmp_path):
-    store = ParameterStore(seed=2)
-    store.weight("layer.w", (7, 3))
-    store.zeros("layer.b", (3,))
-    store.from_value("ln.gain", np.ones(4))
-    path = tmp_path / "model.fpck"
-    store.save(path, extra={"__state__.epoch": np.asarray(5.0)})
+CFG = ModelConfig(n_points=16, width=16, image_hw=16, joint_feat_dim=4,
+                  head_hidden=8)
 
-    other = ParameterStore(seed=99)
-    other.weight("layer.w", (7, 3))
-    other.zeros("layer.b", (3,))
-    other.from_value("ln.gain", np.zeros(4))
-    extra = other.load(path)
-    np.testing.assert_array_equal(other["layer.w"].data, store["layer.w"].data)
-    np.testing.assert_array_equal(other["ln.gain"].data, np.ones(4))
-    assert float(extra["__state__.epoch"]) == 5.0
+
+def saved_entries(tmp_path, adam: bool = False) -> dict[str, np.ndarray]:
+    """The entries of a checkpoint of a seed-1 model of ``CFG``."""
+    _, store = build_model(CFG, seed=1)
+    if adam:
+        Adam(store).step({p: np.ones_like(t.data) for p, t in store.items()})
+    path = tmp_path / "saved.fpck"
+    save_checkpoint(store, path, CFG, TrainState(epoch=5, step=7, seed=1))
+    return ParameterStore.read_entries(path)
+
+
+def test_checkpoint_round_trip_exact(tmp_path):
+    entries = saved_entries(tmp_path, adam=True)
+    _, other = build_model(CFG, seed=99)
+    state = load_checkpoint(other, tmp_path / "saved.fpck", CFG)
+    assert (state.epoch, state.step, state.seed) == (5, 7, 1)
+    for path, t in other.items():
+        np.testing.assert_array_equal(t.data, entries[path])
+    assert sorted(other.state) == sorted(k for k in entries if k.startswith("__opt__"))
+    for key, arr in other.state.items():
+        np.testing.assert_array_equal(arr, entries[key])
+
+
+def _refused_and_untouched(path, match):
+    _, fresh = build_model(CFG, seed=2)
+    before = {p: t.data.copy() for p, t in fresh.items()}
+    with pytest.raises(CheckpointMismatchError, match=match):
+        load_checkpoint(fresh, path, CFG)
+    for p, t in fresh.items():
+        np.testing.assert_array_equal(t.data, before[p])
 
 
 def test_checkpoint_parameter_set_mismatch(tmp_path):
-    store = ParameterStore(seed=3)
-    store.weight("a.w", (2, 2))
+    entries = saved_entries(tmp_path)
+    name = next(k for k in entries if not k.startswith("__"))
+    entries["renamed." + name] = entries.pop(name)
     path = tmp_path / "m.fpck"
-    store.save(path)
-    other = ParameterStore(seed=3)
-    other.weight("b.w", (2, 2))
-    with pytest.raises(CheckpointMismatchError):
-        other.load(path)
+    ParameterStore().save(path, entries)
+    _refused_and_untouched(path, f"missing \\['{name}'\\]")
 
 
 def test_checkpoint_shape_mismatch(tmp_path):
-    store = ParameterStore(seed=4)
-    store.weight("w", (2, 3))
+    entries = saved_entries(tmp_path)
+    name = next(k for k, v in entries.items() if not k.startswith("__") and v.ndim == 1)
+    entries[name] = entries[name][None, :]
     path = tmp_path / "m.fpck"
-    store.save(path)
-    other = ParameterStore(seed=4)
-    other.weight("w", (3, 2))
-    with pytest.raises(CheckpointMismatchError):
-        other.load(path)
+    ParameterStore().save(path, entries)
+    _refused_and_untouched(path, f"{name} has shape \\(1, ")
 
 
 def test_not_a_checkpoint_file(tmp_path):
@@ -112,43 +124,41 @@ def test_entry_of_rank_above_two_raises_mismatch_naming_it(tmp_path):
         ParameterStore.read_entries(path)
 
 
-class _FailingFile:
-    """Writes the first ``budget`` bytes, then fails like a full disk."""
-
-    def __init__(self, fh, budget):
-        self.fh, self.budget = fh, budget
-
-    def write(self, data):
-        if len(data) > self.budget:
-            self.fh.write(data[: self.budget])
-            raise OSError("no space left on device")
-        self.budget -= len(data)
-        return self.fh.write(data)
-
-    def __getattr__(self, name):
-        return getattr(self.fh, name)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-        return False
-
-
-def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
+def test_failed_checkpoint_write_keeps_previous_file(tmp_path, request):
     first = tmp_path / "epoch_000.fpck"
     small_store(seed=8).save(first)
     before = first.read_bytes()
-    monkeypatch.setattr(params, "open",
-                        lambda path, mode: _FailingFile(builtins.open(path, mode), 40),
-                        raising=False)
+    request.getfixturevalue("full_disk")
     for target in (tmp_path / "epoch_001.fpck", first):
         with pytest.raises(OSError):
             small_store(seed=9).save(target)
     assert first.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["epoch_000.fpck"]
     assert latest_checkpoint(tmp_path) == first
+
+
+NAMES = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=12)
+ENTRIES = st.dictionaries(
+    NAMES,
+    st.lists(st.integers(0, 3), max_size=2).flatmap(
+        lambda shape: st.lists(st.floats(), min_size=int(np.prod(shape)),
+                               max_size=int(np.prod(shape))).map(
+            lambda values: np.reshape(values, shape))),
+    max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(entries=ENTRIES)
+@example(entries={"gewicht.ä": np.asarray(-0.0), "層.w": np.arange(6.0).reshape(2, 3)})
+def test_saved_entries_read_back_exactly(tmp_path_factory, entries):
+    """Any names, non-ASCII too, and entries of rank 0 to 2 round trip."""
+    path = tmp_path_factory.mktemp("rt") / "m.fpck"
+    ParameterStore().save(path, entries)
+    back = ParameterStore.read_entries(path)
+    assert list(back) == sorted(entries)
+    for name, arr in entries.items():
+        assert back[name].shape == arr.shape
+        assert back[name].tobytes() == arr.astype("<f8").tobytes()
 
 
 def test_latest_checkpoint_orders_epochs_by_number(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fusionpose.association import Detection2D, Detection3D
 from fusionpose.errors import FusionPoseError, InvalidInputError
 from fusionpose.geometry import BONES, ROOT_INDEX, Pose3D, project
 from fusionpose.synthdata import (BodyModel, DetectionJitter, GaitAmplitudes,
@@ -13,6 +14,8 @@ from fusionpose.synthdata.generate import (SceneConfig, default_calibration,
                                            default_scene, generate_dataset,
                                            simulate_frames)
 from fusionpose.synthdata import sensors
+from fusionpose.synthdata.seqfile import (FrameRecord, PersonFrame, SequenceData,
+                                          write_manifest)
 from fusionpose.synthdata.sensors import _cast_rays, intersect_rays_capsules
 
 
@@ -487,7 +490,6 @@ def test_generated_files_match_testing_every_ray_against_every_capsule(tmp_path,
 def test_sequence_round_trip_is_exact(tmp_path):
     cfg = small_scene(seed=12)
     frames = simulate_frames(cfg)
-    from fusionpose.synthdata.seqfile import SequenceData
     data = SequenceData(cfg.calibration, frames, has_gt=True)
     path = tmp_path / "seq.fpseq"
     write_sequence(path, data)
@@ -514,10 +516,9 @@ def test_sequence_round_trip_is_exact(tmp_path):
                 assert po.det3d.size == pg.det3d.size
 
 
-def test_every_truncated_sequence_file_raises(tmp_path):
-    from fusionpose.association import Detection2D, Detection3D
-    from fusionpose.synthdata.seqfile import FrameRecord, PersonFrame, SequenceData
-    rng = np.random.default_rng(14)
+def two_frame_sequence(seed: int) -> SequenceData:
+    """Two random 2x2-raster frames of one person, every field present."""
+    rng = np.random.default_rng(seed)
     frames = [FrameRecord(rng.normal(size=(3, 3)),
                           rng.random((2, 2, 3)).astype(np.float32),
                           [PersonFrame(rng.random((21, 2)), np.ones(21, dtype=bool),
@@ -525,8 +526,12 @@ def test_every_truncated_sequence_file_raises(tmp_path):
                                        Detection3D((6.0, 0.0, 1.0), (1.0, 1.0, 2.0), 0.1),
                                        rng.random((21, 3)))])
               for _ in range(2)]
+    return SequenceData(default_calibration(2, 2), frames, has_gt=True)
+
+
+def test_every_truncated_sequence_file_raises(tmp_path):
     path = tmp_path / "seq.fpseq"
-    write_sequence(path, SequenceData(default_calibration(2, 2), frames, has_gt=True))
+    write_sequence(path, two_frame_sequence(14))
     blob = path.read_bytes()
     assert len(read_sequence(path).frames) == 2
     cut = tmp_path / "cut.fpseq"
@@ -534,6 +539,21 @@ def test_every_truncated_sequence_file_raises(tmp_path):
         cut.write_bytes(blob[:n])
         with pytest.raises(FusionPoseError):
             read_sequence(cut)
+
+
+def test_failed_sequence_or_manifest_write_keeps_previous_file(tmp_path, request):
+    old = tmp_path / "train_000.fpseq"
+    write_sequence(old, two_frame_sequence(1))
+    write_manifest(tmp_path, {"train": [old.name]})
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    request.getfixturevalue("full_disk")
+    for target in (old, tmp_path / "train_001.fpseq"):
+        with pytest.raises(OSError):
+            write_sequence(target, two_frame_sequence(2))
+    with pytest.raises(OSError):
+        write_manifest(tmp_path, {"train": ["train_000.fpseq", "train_001.fpseq"],
+                                  "val": ["val_000.fpseq"]})
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_header_frame_count_matches_frames_on_disk(tmp_path):

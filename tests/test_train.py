@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from fusionpose.geometry import Pose2D
 from fusionpose.losses import (chamfer_agu_loss, consistency_loss, motion_loss,
                                projection_loss, total_loss)
 from fusionpose.model import FusionPoseModel, TemporalEstimator, build_model
-from fusionpose.synthdata.generate import generate_dataset
+from fusionpose.synthdata.generate import child_seed, generate_dataset
 from fusionpose.train import LOSS_NAMES, Trainer, batch_gradients
 
 TINY_CFG = """
@@ -247,6 +248,33 @@ def test_epoch_batches_are_shuffled_track_segments(tiny):
                 == [[id(s) for s in b] for b in batches])
     assert len(borders) > 1  # the first cut moves between epochs
     assert not all(in_order)  # and the segments are shuffled
+
+
+def test_epoch_batches_cut_each_run_at_its_drawn_offset(tiny):
+    """Each run's first segment holds the epoch's draw for it (``batch_size``
+    for a 0), every later segment but the last ``batch_size``, and every
+    window is trained once."""
+    cfg, data = tiny
+    trainer = Trainer(cfg, data, *build_model(cfg.model_config(), 1))
+    bs = cfg.batch_size
+    samples = trainer.train_samples
+    position = {id(s): i for i, s in enumerate(samples)}
+    runs = [[position[id(s)] for s in run] for _, run in itertools.groupby(
+        samples, key=lambda s: (s.sequence_name, s.track_id))]
+    assert max(len(run) for run in runs) > bs
+    zero_draws = 0
+    for epoch in range(8):
+        rng = np.random.Generator(np.random.PCG64(child_seed(cfg.seed, 400, epoch)))
+        draws = [int(rng.integers(bs)) for _ in runs]
+        zero_draws += draws.count(0)
+        segments = sorted([position[id(s)] for s in b] for b in trainer.epoch_batches(epoch))
+        assert [i for seg in segments for i in seg] == list(range(len(samples)))
+        for run, draw in zip(runs, draws):
+            sizes = [len(seg) for seg in segments if seg[0] in run]
+            assert sizes[0] == min(draw or bs, len(run))
+            assert sizes[1:-1] == [bs] * len(sizes[1:-1])
+            assert 1 <= sizes[-1] <= bs
+    assert zero_draws > 0
 
 
 def test_epoch_loss_is_the_window_weighted_mean(tiny, monkeypatch):
