@@ -144,8 +144,6 @@ class InstanceDataset:
                 cloud = occlude_points(cloud, occlusion,
                                        child_seed(seed, 71, fs.frame_index,
                                                   fs.person_index))
-                if len(cloud) == 0:
-                    cloud = fs.crop_cloud[:1]
             if point_budget is not None and len(cloud) > point_budget:
                 rng = np.random.Generator(np.random.PCG64(
                     child_seed(seed, 72, fs.frame_index, fs.person_index)))

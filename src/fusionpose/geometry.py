@@ -236,17 +236,16 @@ def crop_image(image: np.ndarray, box: tuple[float, float, float, float],
 
     Sample positions are the centers of the output grid cells mapped
     linearly into the box; coordinates are clamped at the image border.
+    The result is float64: a float32 raster is promoted exactly as the
+    samples are weighted.
     """
-    image = np.asarray(image, dtype=np.float64)
     u_min, v_min, u_max, v_max = box
     if not (u_min < u_max and v_min < v_max):
         raise InvalidInputError(f"degenerate 2D box {box}")
     h_out, w_out = out_hw
-    h, w = image.shape[:2]
     us = u_min + (np.arange(w_out) + 0.5) / w_out * (u_max - u_min) - 0.5
     vs = v_min + (np.arange(h_out) + 0.5) / h_out * (v_max - v_min) - 0.5
-    uu, vv = np.meshgrid(us, vs)
-    return bilinear_sample(image, uu, vv)
+    return bilinear_sample(np.asarray(image), us[None, :], vs[:, None])
 
 
 def bilinear_sample(image: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:

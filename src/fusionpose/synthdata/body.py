@@ -66,6 +66,7 @@ _REST = np.array([_REST_LOCAL[name] for name in JOINT_NAMES])
 
 # Capsule radii at unit scale, indexed like geometry.BONES.
 BONE_RADII = np.array([_BONE_RADII[(JOINT_NAMES[p], JOINT_NAMES[c])] for p, c in BONES])
+_PARENTS, _CHILDREN = np.array(BONES).T
 
 
 def rest_pose(scale: float = 1.0) -> np.ndarray:
@@ -160,7 +161,8 @@ def pose_at(script: MotionScript, body: BodyModel, t: float) -> Pose3D:
     local = np.zeros((N_JOINTS, 3))
     accum = {ROOT_INDEX: np.eye(3)}
     for p, c in BONES:
-        rot = accum[p] @ swing.get(JOINT_NAMES[c], np.eye(3))
+        name = JOINT_NAMES[c]
+        rot = accum[p] @ swing[name] if name in swing else accum[p]
         accum[c] = rot
         local[c] = local[p] + rot @ (rest[c] - rest[p])
 
@@ -174,7 +176,4 @@ def pose_at(script: MotionScript, body: BodyModel, t: float) -> Pose3D:
 
 def capsules_for(pose: Pose3D, body: BodyModel):
     """Capsule segment endpoints and radii for one posed body."""
-    joints = pose.joints
-    a = np.stack([joints[p] for p, _ in BONES])
-    b = np.stack([joints[c] for _, c in BONES])
-    return a, b, BONE_RADII * body.scale
+    return pose.joints[_PARENTS], pose.joints[_CHILDREN], BONE_RADII * body.scale

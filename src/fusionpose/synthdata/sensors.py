@@ -6,6 +6,14 @@ the same capsules (inverse depth, silhouette mask, per-person hue), so
 the image branch carries person-discriminative signal without any
 photo-realism. 2D keypoints are the projected joints plus pixel noise,
 standing in for an off-the-shelf 2D pose network.
+
+Both sensors cast their rays once per frame against every body: a ray
+is tested against a body's capsules only when it can reach the sphere
+bounding that body, then each capsule's own bounding sphere. The
+(ray, capsule) pairs left go through one hit pass, with one gemv per
+capsule over a zero-padded stack of its rays, and the nearest hit per
+ray is kept. The result is bit for bit that of testing every ray
+against every capsule.
 """
 
 from __future__ import annotations
@@ -81,14 +89,6 @@ def _near_spheres(origin: np.ndarray, dirs: np.ndarray, centres: np.ndarray,
             & ((w * w).sum(axis=1)[:, None] - proj * proj <= (radii * radii)[:, None]))
 
 
-def _keep_closer(best_t: np.ndarray, best_idx: np.ndarray, rows: np.ndarray,
-                 t: np.ndarray, idx: np.ndarray) -> None:
-    """Take hits strictly nearer than the best so far; ties keep the earlier index."""
-    closer = t < best_t[rows]
-    best_t[rows] = np.where(closer, t, best_t[rows])
-    best_idx[rows] = np.where(closer, idx, best_idx[rows])
-
-
 def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``x[i] @ y[i]`` for every row i, bit for bit as the 1-D ``@``.
 
@@ -98,51 +98,63 @@ def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
-def _slice_gemv(rows: np.ndarray, vecs: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """``rows[s:e] @ vecs[c]`` for each capsule c and its pairs s:e.
-
-    Each slice is one gemv, as when a capsule's candidate rays were
-    tested on their own, and a gemv row does not depend on the other
-    rows. numpy evaluates a one-row ``@`` with a dot product instead of
-    BLAS gemv, and the two can differ in the last bit, so a one-row
-    slice is computed twice.
-    """
-    out = np.empty(rows.shape[0])
-    for c in np.flatnonzero(bounds[1:] > bounds[:-1]):
-        s, e = bounds[c], bounds[c + 1]
-        block = rows[s:e] if e - s > 1 else np.repeat(rows[s:e], 2, axis=0)
-        out[s:e] = (block @ vecs[c])[:e - s]
-    return out
-
-
 def intersect_rays_capsules(origin: np.ndarray, dirs: np.ndarray,
                             seg_a: np.ndarray, seg_b: np.ndarray,
                             radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First hit of unit-direction rays against a set of capsules.
+    """First hit of unit-direction rays against capsules grouped by body.
 
-    Returns (t, index): ray parameter of the nearest hit (inf for a
-    miss) and the capsule index that was hit (-1 for a miss; a tie goes
-    to the lower index). The test covers the cylindrical band and both
-    sphere caps; taking the minimum over the three candidate sets yields
-    the true entry point.
+    ``seg_a`` and ``seg_b`` are (g, k, 3) and ``radii`` (g, k): g groups
+    (bodies) of k capsules, flat index ``group * k + capsule``; flat
+    (k, 3) / (k,) input is one group. Returns (t, index): ray parameter
+    of the nearest hit (inf for a miss) and the flat index of the
+    capsule hit (-1 for a miss; a tie goes to the lower index). The test
+    covers the cylindrical band and both sphere caps; taking the minimum
+    over the three candidate sets yields the true entry point.
 
-    Only the (ray, capsule) pairs whose ray can reach the capsule's
-    bounding sphere are tested, all in one pass, capsule-major. A pair's
-    dot products with its capsule's vectors come from ``_row_dots`` and
-    ``_slice_gemv``, and every other step is elementwise, so each pair
-    gets the bits that testing one capsule against every ray would give.
+    A ray is tested against a capsule only when it can reach the sphere
+    bounding the capsule's group and then the capsule's own bounding
+    sphere. All those (ray, capsule) pairs go through one hit pass,
+    capsule-major. Each pair's dot products with its capsule's vectors
+    come from ``_row_dots`` or from one gemv per capsule over a
+    zero-padded (capsules, width, 3) stack of its rays, and every other
+    step is elementwise, so each pair gets the bits that testing one
+    capsule against every ray would give.
     """
     origin = np.asarray(origin, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
+    if np.ndim(radii) == 1:
+        seg_a, seg_b, radii = seg_a[None], seg_b[None], radii[None]
     n_rays = dirs.shape[0]
+    k = radii.shape[1]
+    t = np.full(n_rays, np.inf)
+    index = np.full(n_rays, -1, dtype=np.int64)
+    ends = np.concatenate([seg_a, seg_b], axis=1)
+    centres = ends.mean(axis=1)
+    reach = (np.linalg.norm(ends - centres[:, None], axis=2).max(axis=1)
+             + radii.max(axis=1) + _MARGIN)
+    near_group = _near_spheres(origin, dirs, centres, reach)
+    seg_a, seg_b, radii = seg_a.reshape(-1, 3), seg_b.reshape(-1, 3), radii.reshape(-1)
     axis = seg_b - seg_a
     length = np.sqrt(_row_dots(axis, axis))
-    cap, ray = np.nonzero(_near_spheres(origin, dirs, (seg_a + seg_b) / 2.0,
-                                        length / 2.0 + radii + _MARGIN))
+    cap_centres = (seg_a + seg_b) / 2.0
+    cap_reach = length / 2.0 + radii + _MARGIN
+    caps, rays = [], []
+    for g, group_rows in enumerate(near_group):
+        rows = np.flatnonzero(group_rows)
+        own = slice(g * k, (g + 1) * k)
+        c, r = np.nonzero(_near_spheres(origin, dirs[rows], cap_centres[own], cap_reach[own]))
+        caps.append(c + g * k)
+        rays.append(rows[r])
+    cap, ray = np.concatenate(caps), np.concatenate(rays)
     if cap.size == 0:
-        return np.full(n_rays, np.inf), np.full(n_rays, -1, dtype=np.int64)
-    bounds = np.searchsorted(cap, np.arange(radii.shape[0] + 1))
+        return t, index
+    bounds = np.searchsorted(cap, np.arange(radii.size + 1))
+    slot = np.arange(cap.size) - bounds[cap]
+    # width >= 2: numpy computes a one-row matmul with a dot, not gemv
+    stack_shape = (radii.size, max(2, int((bounds[1:] - bounds[:-1]).max())), 3)
     d = dirs[ray]
+    d_stack = np.zeros(stack_shape)
+    d_stack[cap, slot] = d
     # cylindrical band, for capsules longer than 1e-12
     has_axis = length > 1e-12
     u = axis / np.where(has_axis, length, 1.0)[:, None]
@@ -150,10 +162,12 @@ def intersect_rays_capsules(origin: np.ndarray, dirs: np.ndarray,
     m_par = _row_dots(m, u)
     m_perp = m - m_par[:, None] * u
     qc = (_row_dots(m_perp, m_perp) - radii * radii)[cap]
-    d_par = _slice_gemv(d, u, bounds)
+    d_par = (d_stack @ u[:, :, None])[cap, slot, 0]
     d_perp = d - d_par[:, None] * u[cap]
     qa = (d_perp * d_perp).sum(axis=1)
-    qb = _slice_gemv(2.0 * d_perp, m_perp, bounds)
+    perp_stack = np.zeros(stack_shape)
+    perp_stack[cap, slot] = d_perp
+    qb = 2.0 * (perp_stack @ m_perp[:, :, None])[cap, slot, 0]  # exact: the bits of (2x) @ y
     disc = qb * qb - 4.0 * qa * qc
     ok = (disc >= 0.0) & (qa > 1e-14)
     sq = np.sqrt(np.where(ok, disc, 0.0))
@@ -162,47 +176,36 @@ def intersect_rays_capsules(origin: np.ndarray, dirs: np.ndarray,
     valid = has_axis[cap] & ok & (t_cyl > _T_MIN) & (s >= 0.0) & (s <= length[cap])
     t_pair = np.where(valid, t_cyl, np.inf)
     # sphere caps
-    d2 = 2.0 * d
-    for ends in (seg_a, seg_b):
-        m = origin - ends
-        qb = _slice_gemv(d2, m, bounds)
+    for end in (seg_a, seg_b):
+        m = origin - end
+        qb = 2.0 * (d_stack @ m[:, :, None])[cap, slot, 0]
         qc = (_row_dots(m, m) - radii * radii)[cap]
         disc = qb * qb - 4.0 * qc
         ok = disc >= 0.0
         sq = np.sqrt(np.where(ok, disc, 0.0))
         t_sph = np.where(ok, (-qb - sq) / 2.0, np.inf)
         t_pair = np.minimum(t_pair, np.where(t_sph > _T_MIN, t_sph, np.inf))
-    t_all = np.full((radii.shape[0], n_rays), np.inf)
-    t_all[cap, ray] = t_pair
-    idx = t_all.argmin(axis=0)  # the first of equal minima
-    t = t_all[idx, np.arange(n_rays)]
-    return t, np.where(np.isfinite(t), idx, -1)
+    # nearest hit per ray: a stable sort keeps capsule order among equal t
+    hit = np.flatnonzero(t_pair < np.inf)
+    hit = hit[np.lexsort((t_pair[hit], ray[hit]))]
+    first = hit[np.flatnonzero(np.diff(ray[hit], prepend=-1))]
+    t[ray[first]] = t_pair[first]
+    index[ray[first]] = cap[first]
+    return t, index
 
 
 def _cast_rays(origin: np.ndarray, dirs: np.ndarray,
                posed: list[tuple[Pose3D, BodyModel]]):
     """First hits of ``dirs`` against every body's capsules.
 
-    Returns (t, index, owner) as ``intersect_rays_capsules`` does, plus
-    the person each capsule belongs to. Each person's capsules see only
-    the rays that can reach the sphere bounding all of them.
+    Returns (t, index, owner): ``intersect_rays_capsules``' result for
+    the capsules grouped by person, and the person each ray hit (-1 for
+    a miss).
     """
-    capsules = [capsules_for(pose, body) for pose, body in posed]
-    owner = np.concatenate([np.full(len(r), pid)
-                            for pid, (_, _, r) in enumerate(capsules)])
-    t = np.full(dirs.shape[0], np.inf)
-    idx = np.full(dirs.shape[0], -1, dtype=np.int64)
-    first = 0
-    for seg_a, seg_b, radii in capsules:
-        ends = np.concatenate([seg_a, seg_b])
-        centre = ends.mean(axis=0)
-        radius = np.linalg.norm(ends - centre, axis=1).max() + radii.max() + _MARGIN
-        rows = np.flatnonzero(_near_spheres(origin, dirs, centre[None], np.array([radius]))[0])
-        if rows.size:
-            t_p, idx_p = intersect_rays_capsules(origin, dirs[rows], seg_a, seg_b, radii)
-            _keep_closer(t, idx, rows, t_p, idx_p + first)
-        first += len(radii)
-    return t, idx, owner
+    seg_a, seg_b, radii = (np.stack(part) for part in
+                           zip(*(capsules_for(pose, body) for pose, body in posed)))
+    t, index = intersect_rays_capsules(origin, dirs, seg_a, seg_b, radii)
+    return t, index, index // radii.shape[1]
 
 
 def simulate_lidar(posed: list[tuple[Pose3D, BodyModel]], cfg: LidarConfig,
@@ -217,14 +220,14 @@ def simulate_lidar(posed: list[tuple[Pose3D, BodyModel]], cfg: LidarConfig,
         return np.zeros((0, 3)), np.zeros(0, dtype=np.int64)
     origin = np.asarray(cfg.origin, dtype=np.float64)
     dirs = cfg.ray_directions()
-    t, idx, owner = _cast_rays(origin, dirs, posed)
+    t, _, owner = _cast_rays(origin, dirs, posed)
     hit = np.isfinite(t) & (t <= cfg.max_range_m)
-    t, dirs, idx = t[hit], dirs[hit], idx[hit]
+    t, dirs, owner = t[hit], dirs[hit], owner[hit]
     rng = np.random.Generator(np.random.PCG64(seed))
     t = t + rng.normal(0.0, cfg.range_sigma_m, size=t.shape) if cfg.range_sigma_m > 0 else t
     keep = rng.random(t.shape) >= cfg.drop_prob if cfg.drop_prob > 0 else np.ones(t.shape, bool)
     points = origin + t[keep, None] * dirs[keep]
-    return points, owner[idx[keep]]
+    return points, owner[keep]
 
 
 @functools.lru_cache(maxsize=8)
@@ -256,11 +259,11 @@ def render_raster(posed: list[tuple[Pose3D, BodyModel]], calib: Calibration,
     world_dirs = _pixel_rays((calib.fx, calib.fy, calib.cx, calib.cy),
                              tuple(calib.rotation.ravel()), height, width)
     origin = calib.camera_center_world()
-    t, idx, owner = _cast_rays(origin, world_dirs, posed)
+    t, _, owner = _cast_rays(origin, world_dirs, posed)
     hit = np.isfinite(t)
     pts = origin + t[hit, None] * world_dirs[hit]
     z = calib.to_camera(pts)[:, 2]
-    pid = owner[idx[hit]]
+    pid = owner[hit]
     flat = np.zeros((height * width, 3), dtype=np.float32)
     flat[hit, 0] = 1.0 / z
     flat[hit, 1] = 1.0

@@ -539,13 +539,18 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_checkpoint_model_mismatch_exits_3(workdir, tmp_path):
+    cfg = load_config(cfg_path(workdir))
+    _, store = build_model(cfg.model_config(), seed=cfg.seed)
+    (tmp_path / "ckpt").mkdir()
+    save_checkpoint(store, tmp_path / "ckpt" / "epoch_000.fpck", cfg.model_config(),
+                    TrainState(seed=cfg.seed))
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(TINY_CFG
                        .replace("paths.dataset_dir = data",
                                 f"paths.dataset_dir = {workdir / 'data'}")
                        .replace("model.width = 32", "model.width = 64")
                        .replace("paths.checkpoint_dir = ckpt",
-                                f"paths.checkpoint_dir = {workdir / 'ckpt'}"))
+                                f"paths.checkpoint_dir = {tmp_path / 'ckpt'}"))
     assert main(["eval", "--config", str(cfgfile)]) == 3
 
 

@@ -71,6 +71,7 @@ def _refused_and_untouched(path, match):
         load_checkpoint(fresh, path, CFG)
     for p, t in fresh.items():
         np.testing.assert_array_equal(t.data, before[p])
+    assert fresh.state == {}
 
 
 def test_checkpoint_parameter_set_mismatch(tmp_path):
@@ -89,6 +90,16 @@ def test_checkpoint_shape_mismatch(tmp_path):
     path = tmp_path / "m.fpck"
     ParameterStore().save(path, entries)
     _refused_and_untouched(path, f"{name} has shape \\(1, ")
+
+
+def test_checkpoint_with_a_negative_second_moment_is_refused(tmp_path):
+    entries = saved_entries(tmp_path, adam=True)
+    name = sorted(k for k in entries if k.startswith("__opt__.v."))[0]
+    entries[name] = entries[name].copy()
+    entries[name].flat[-1] = -1e-300  # finite, and every other entry is valid
+    path = tmp_path / "m.fpck"
+    ParameterStore().save(path, entries)
+    _refused_and_untouched(path, f"{name} holds negative values")
 
 
 def test_not_a_checkpoint_file(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fusionpose.association import Detection2D, Detection3D
 from fusionpose.errors import FusionPoseError, InvalidInputError
@@ -140,6 +142,12 @@ def all_pairs_reference(origin, dirs, seg_a, seg_b, radii):
     return best_t, best_idx
 
 
+def all_pairs_grouped(origin, dirs, seg_a, seg_b, radii):
+    """``all_pairs_reference`` over capsules grouped (g, k), flattened group-major."""
+    return all_pairs_reference(origin, dirs, seg_a.reshape(-1, 3), seg_b.reshape(-1, 3),
+                               radii.reshape(-1))
+
+
 def _unit(v):
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
@@ -207,6 +215,39 @@ def random_capsule_scene(rng):
     return origin, dirs[rng.permutation(len(dirs))], seg_a, seg_b, radii
 
 
+def grouped_capsule_scene(rng):
+    """``random_capsule_scene``'s capsules as g groups of k, plus four more groups.
+
+    The scene's capsules fill groups of k, topped up with copies of its
+    first capsules. Then, in random order after them: a copy of group 0
+    moved a few centimetres (overlapping it), an exact copy of group 0
+    (a tie with every hit on it), group 0 mirrored through the origin
+    (behind it, with aimed rays) and group 0 lifted 50 m, above every
+    ray. Returns the scene, the groups (g, k, 3) / (g, k), and the
+    indices of the duplicate and out-of-reach groups.
+    """
+    origin, dirs, seg_a, seg_b, radii = random_capsule_scene(rng)
+    k = int(rng.integers(1, len(radii) + 1))
+    fill = -len(radii) % k
+    seg_a, seg_b, radii = (np.concatenate([x, x[:fill]]).reshape(-1, k, *x.shape[1:])
+                           for x in (seg_a, seg_b, radii))
+    first = len(radii)
+    shift = rng.normal(0.0, 0.05, 3)
+    lift = [0.0, 0.0, 50.0]
+    extra = [(seg_a[0] + shift, seg_b[0] + shift, radii[0]),
+             (seg_a[0], seg_b[0], radii[0]),
+             (2.0 * origin - seg_a[0], 2.0 * origin - seg_b[0], radii[0]),
+             (seg_a[0] + lift, seg_b[0] + lift, radii[0])]
+    order = rng.permutation(len(extra))
+    seg_a, seg_b, radii = (np.concatenate([x, np.stack([extra[i][part] for i in order])])
+                           for part, x in enumerate((seg_a, seg_b, radii)))
+    behind = _unit(origin - (seg_a[0] + seg_b[0]) / 2.0 + rng.normal(0.0, 0.05, (k, 3)))
+    dirs = np.concatenate([dirs, behind])
+    dirs = dirs[dirs[:, 2] < 0.9]  # no ray comes near the lifted group
+    duplicate, unreached = (first + int(np.flatnonzero(order == i)[0]) for i in (1, 3))
+    return origin, dirs, seg_a, seg_b, radii, duplicate, unreached
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_culled_intersection_is_bit_identical_to_all_pairs():
     rng = np.random.default_rng(2024)
@@ -219,6 +260,17 @@ def test_culled_intersection_is_bit_identical_to_all_pairs():
         np.testing.assert_array_equal(idx, idx_ref)
         hits += np.isfinite(t).sum()
     assert hits > 1000
+    grouped_hits = 0
+    for _ in range(150):
+        origin, dirs, seg_a, seg_b, radii, duplicate, unreached = grouped_capsule_scene(rng)
+        t, idx = intersect_rays_capsules(origin, dirs, seg_a, seg_b, radii)
+        t_ref, idx_ref = all_pairs_grouped(origin, dirs, seg_a, seg_b, radii)
+        assert t.tobytes() == t_ref.tobytes()
+        np.testing.assert_array_equal(idx, idx_ref)
+        group = np.where(idx >= 0, idx // radii.shape[1], -1)
+        assert not np.isin(group, [duplicate, unreached]).any()  # group 0 comes first
+        grouped_hits += np.isfinite(t).sum()
+    assert grouped_hits > 1000
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -256,13 +308,12 @@ def test_cast_rays_is_bit_identical_to_all_pairs():
         t, idx, owner = _cast_rays(origin, dirs, posed)
         seg_a, seg_b, radii = (np.concatenate(part) for part in zip(*caps))
         t_ref, idx_ref = all_pairs_reference(origin, dirs, seg_a, seg_b, radii)
-        owner_ref = np.repeat(np.arange(len(caps)), [len(r) for _, _, r in caps])
+        capsule_owner = np.repeat(np.arange(len(caps)), [len(r) for _, _, r in caps])
         assert t.tobytes() == t_ref.tobytes()
         np.testing.assert_array_equal(idx, idx_ref)
-        np.testing.assert_array_equal(owner, owner_ref)
+        np.testing.assert_array_equal(owner, np.where(idx_ref >= 0, capsule_owner[idx_ref], -1))
         assert np.isfinite(t).any()
-        duplicate = np.flatnonzero(owner == len(posed) - 2)
-        assert not np.isin(idx, duplicate).any()  # every tie went to person 0
+        assert not (owner == len(posed) - 2).any()  # every tie went to person 0
 
 
 def nearer_vs_farther_counts(x_near, x_far, seed):
@@ -453,6 +504,22 @@ def test_occlude_rejects_full_fraction():
         occlude_points(np.zeros((4, 3)), 1.0, seed=0)
 
 
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 5000), seed=st.integers(0, 2**32 - 1),
+       fraction=st.floats(0.0, 1.0, exclude_max=True))
+@example(n=1, seed=0, fraction=float(np.nextafter(1.0, 0.0)))
+@example(n=4096, seed=0, fraction=float(np.nextafter(1.0, 0.0)))
+@example(n=4999, seed=0, fraction=1.0 - 1e-12)
+@example(n=3, seed=0, fraction=0.9999999)
+def test_occlusion_keeps_a_point_of_every_non_empty_cloud(n, seed, fraction):
+    """floor(fraction * n) <= n - 1 for any fraction in [0, 1), so the
+    density and occlusion studies never see an empty crop."""
+    pts = np.arange(3.0 * n).reshape(n, 3)
+    kept = occlude_points(pts, fraction, seed)
+    assert len(kept) == n - int(np.floor(fraction * n)) >= 1
+    assert np.isin(kept[:, 0], pts[:, 0]).all() and (np.diff(kept[:, 0]) > 0).all()
+
+
 # -- dataset ---------------------------------------------------------------------
 
 
@@ -478,7 +545,7 @@ def test_generated_files_match_testing_every_ray_against_every_capsule(tmp_path,
                                                                        monkeypatch):
     cfg = small_scene()
     generate_dataset(cfg, tmp_path / "culled")
-    monkeypatch.setattr(sensors, "intersect_rays_capsules", all_pairs_reference)
+    monkeypatch.setattr(sensors, "intersect_rays_capsules", all_pairs_grouped)
     generate_dataset(cfg, tmp_path / "all_pairs")
     names = sorted(p.name for p in (tmp_path / "culled").iterdir())
     for name in names:
