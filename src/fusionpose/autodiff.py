@@ -196,10 +196,6 @@ def div(a, b) -> Tensor:
     )
 
 
-def neg(x) -> Tensor:
-    return _apply(-_value(x), (x, lambda g: -g))
-
-
 def scale(x, s: float) -> Tensor:
     s = float(s)
     return _apply(_value(x) * s, (x, lambda g: g * s))
@@ -354,11 +350,6 @@ def rownorm(x) -> Tensor:
 def sum_all(x) -> Tensor:
     xv = _value(x)
     return _apply(np.asarray(xv.sum()), (x, lambda g, s=xv.shape: np.broadcast_to(g, s).copy()))
-
-
-def mean_all(x) -> Tensor:
-    xv = _value(x)
-    return scale(sum_all(x), 1.0 / xv.size)
 
 
 _IM2COL_CACHE: dict[tuple, np.ndarray] = {}

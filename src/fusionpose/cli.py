@@ -14,10 +14,13 @@ import sys
 from pathlib import Path
 
 # OpenBLAS reads its thread count once, when numpy is first imported. One
-# thread is faster for these small float64 GEMMs, far faster under
-# contention, and keeps results independent of the host's default.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+# thread is faster for these small float64 GEMMs and far faster under
+# contention. A fixed count also gives every output the same bytes on any
+# host: OpenBLAS splits some ragged products differently per thread count,
+# so a count set in the environment is replaced, and ``main`` says so.
+_REPLACED = [f"{var}={os.environ[var]}" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+             if os.environ.get(var, "1") != "1"]
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
 
 from .ablate import STUDIES, run_study, write_study_csv
 from .config import RunConfig, load_config
@@ -40,14 +43,9 @@ def _trained_model(cfg: RunConfig, checkpoint: str | None) -> FusionPoseModel:
     return model
 
 
-def _dataset(cfg: RunConfig, split: str, sequence: str | None = None) -> InstanceDataset:
-    sequences = load_split(cfg.path("dataset_dir"), split)
-    if sequence:
-        if sequence not in sequences:
-            raise FusionPoseError(f"sequence {sequence!r} not in split {split!r}")
-        sequences = {sequence: sequences[sequence]}
-    return InstanceDataset(sequences, cfg.model_config(), cfg.iou_threshold,
-                           cfg.gate_distance, cfg.max_misses)
+def _dataset(cfg: RunConfig, split: str) -> InstanceDataset:
+    return InstanceDataset(load_split(cfg.path("dataset_dir"), split), cfg.model_config(),
+                           cfg.iou_threshold, cfg.gate_distance, cfg.max_misses)
 
 
 def _out_path(cfg: RunConfig, out: str | None, default_name: str) -> Path:
@@ -122,7 +120,7 @@ def cmd_ablate(args) -> int:
 def cmd_export_poses(args) -> int:
     cfg = load_config(args.config)
     model = None if args.gt else _trained_model(cfg, args.checkpoint)
-    dataset = _dataset(cfg, args.split, args.sequence)
+    dataset = _dataset(cfg, args.split)
     out = _out_path(cfg, args.out, "poses.csv")
     rows = export_poses(model, dataset, out, use_gt=args.gt)
     print(f"wrote {rows} joint rows to {out}")
@@ -146,13 +144,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--config", required=True)
-    p.add_argument("--checkpoint")
     p.add_argument("--split", default="val")
     p.add_argument("--out")
-    p.add_argument("--oracle", action="store_true",
-                   help="score ground truth against itself")
-    p.add_argument("--baseline", action="store_true",
-                   help="score the static rest-pose baseline")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--checkpoint")
+    mode.add_argument("--oracle", action="store_true",
+                      help="score ground truth against itself")
+    mode.add_argument("--baseline", action="store_true",
+                      help="score the static rest-pose baseline")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="run an ablation study")
@@ -164,16 +163,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-poses", help="dump per-frame poses as CSV")
     p.add_argument("--config", required=True)
-    p.add_argument("--checkpoint")
     p.add_argument("--split", default="val")
-    p.add_argument("--sequence")
     p.add_argument("--out")
-    p.add_argument("--gt", action="store_true", help="export ground truth")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--checkpoint")
+    source.add_argument("--gt", action="store_true", help="export ground truth")
     p.set_defaults(func=cmd_export_poses)
     return parser
 
 
 def main(argv=None) -> int:
+    if _REPLACED:
+        print(f"fusionpose: note: {' '.join(_REPLACED)} replaced by 1 thread, "
+              "so that outputs do not depend on the thread count", file=sys.stderr)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

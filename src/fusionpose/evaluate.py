@@ -19,7 +19,7 @@ import numpy as np
 from .autodiff import Tensor
 from .dataio import InstanceDataset, InstanceSample
 from .geometry import ROOT_INDEX
-# pck and mpjpe stay importable from here: they score single poses.
+# perfbench hooks evaluate.pck and evaluate.mpjpe, so both stay importable here.
 from .metrics import (PCK_THRESHOLD_MM, MetricAccumulator, MetricReport,  # noqa: F401
                       mpjpe, pck)
 from .model import FusionPoseModel
@@ -127,17 +127,3 @@ def export_poses(model: FusionPoseModel | None, dataset: InstanceDataset,
                                      repr(float(y)), repr(float(z))])
                     rows += 1
     return rows
-
-
-def read_exported_poses(path: str | Path) -> dict:
-    """Re-read an exported pose file into {(seq, track, frame): (k, 3)}."""
-    grouped: dict[tuple, dict[int, tuple]] = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            key = (row["sequence"], int(row["track_id"]), int(row["frame"]))
-            grouped.setdefault(key, {})[int(row["joint"])] = (
-                float(row["x"]), float(row["y"]), float(row["z"]))
-    return {
-        key: np.array([joints[j] for j in sorted(joints)])
-        for key, joints in grouped.items()
-    }

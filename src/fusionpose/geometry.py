@@ -68,16 +68,6 @@ def project(pts: np.ndarray, calib: Calibration) -> tuple[np.ndarray, np.ndarray
     return np.stack([u, v], axis=1), valid
 
 
-def unproject(pixels: np.ndarray, depths: np.ndarray, calib: Calibration) -> np.ndarray:
-    """Invert ``project`` at known camera depths, returning world points."""
-    pixels = np.asarray(pixels, dtype=np.float64)
-    depths = np.asarray(depths, dtype=np.float64)
-    x = (pixels[:, 0] - calib.cx) / calib.fx * depths
-    y = (pixels[:, 1] - calib.cy) / calib.fy * depths
-    cam = np.stack([x, y, depths], axis=1)
-    return (cam - calib.translation) @ calib.rotation
-
-
 # ---------------------------------------------------------------------------
 # skeleton
 
@@ -246,6 +236,21 @@ def crop_image(image: np.ndarray, box: tuple[float, float, float, float],
     us = u_min + (np.arange(w_out) + 0.5) / w_out * (u_max - u_min) - 0.5
     vs = v_min + (np.arange(h_out) + 0.5) / h_out * (v_max - v_min) - 0.5
     return bilinear_sample(np.asarray(image), us[None, :], vs[:, None])
+
+
+def crop_coords(pixels: np.ndarray, box: tuple[float, float, float, float],
+                hw: int) -> np.ndarray:
+    """Where raster pixels land in an (hw, hw) ``crop_image`` of ``box``, (n, 2).
+
+    The exact inverse of ``crop_image``'s sample map: crop cell j samples
+    raster coordinate u_min + (j + 0.5) / hw * (u_max - u_min) - 0.5, so
+    raster coordinate u lands at (u + 0.5 - u_min) / (u_max - u_min) * hw
+    - 0.5. Both grids put pixel i's centre at coordinate i.
+    """
+    u_min, v_min, u_max, v_max = box
+    pixels = np.asarray(pixels, dtype=np.float64)
+    return np.stack([(pixels[:, 0] + 0.5 - u_min) / (u_max - u_min) * hw - 0.5,
+                     (pixels[:, 1] + 0.5 - v_min) / (v_max - v_min) * hw - 0.5], axis=1)
 
 
 def bilinear_sample(image: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, InvalidInputError
-from .geometry import JOINT_NAMES, ROOT_INDEX, Pose3D, interpolation_matrix, sq_dists
+from .geometry import JOINT_NAMES, ROOT_INDEX, interpolation_matrix, sq_dists
 
 PCK_THRESHOLD_MM = 150.0
 
@@ -104,8 +104,6 @@ class MetricAccumulator:
 
     def add(self, pred, gt, cloud: np.ndarray | None = None) -> np.ndarray:
         """Accumulate one pose; returns its root-aligned joint errors (mm)."""
-        pred = pred.joints if isinstance(pred, Pose3D) else np.asarray(pred)
-        gt = gt.joints if isinstance(gt, Pose3D) else np.asarray(gt)
         err = joint_errors_mm(pred, gt)
         self._errors.append(err)
         if cloud is not None and len(cloud):

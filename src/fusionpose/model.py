@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, DimensionError
-from .geometry import N_JOINTS, Calibration, bilinear_sample, project
+from .geometry import N_JOINTS, Calibration, bilinear_sample, crop_coords, project
 from .params import ParameterStore
 
 FUSION_VARIANTS = ("ipa", "point_rgb", "pixel", "local", "global")
@@ -274,18 +274,15 @@ def lookup_weights(points_world: np.ndarray, calib: Calibration,
     """Constant (m, (image_hw // 8) ** 2) bilinear gather matrix for m points.
 
     Each row picks the token-grid neighborhood of the point's projected
-    pixel mapped into the image crop; points projecting outside the crop
-    get an all-zero row (zero feature by convention).
+    pixel mapped into the image crop, token t standing for crop cells
+    8t .. 8t + 7; points projecting outside the crop get an all-zero row
+    (zero feature by convention).
     """
     grid = image_hw // 8
     n = len(points_world)
     weights = np.zeros((n, grid * grid))
     pixels, valid = project(points_world, calib)
-    u0, v0, u1, v1 = box2d
-    cu = (pixels[:, 0] - u0) / (u1 - u0) * image_hw
-    cv = (pixels[:, 1] - v0) / (v1 - v0) * image_hw
-    gu = cu / 8.0 - 0.5
-    gv = cv / 8.0 - 0.5
+    gu, gv = ((crop_coords(pixels, box2d, image_hw) + 0.5) / 8.0 - 0.5).T
     ok = valid & (gu > -1.0) & (gu < grid) & (gv > -1.0) & (gv < grid)
     rows = np.nonzero(ok)[0]
     x0, y0 = np.floor(gu[rows]), np.floor(gv[rows])
@@ -336,9 +333,7 @@ class FusionPoseModel:
 
         if cfg.fusion == "point_rgb":
             pixels, valid = project(world, frame.calib)
-            u0, v0, u1, v1 = frame.box2d
-            cu = (pixels[:, 0] - u0) / (u1 - u0) * cfg.image_hw - 0.5
-            cv = (pixels[:, 1] - v0) / (v1 - v0) * cfg.image_hw - 0.5
+            cu, cv = crop_coords(pixels, frame.box2d, cfg.image_hw).T
             colors = bilinear_sample(frame.raster.astype(np.float64), cu, cv)
             inside = valid & (cu > -1) & (cu < cfg.image_hw) & (cv > -1) & (cv < cfg.image_hw)
             colors[~inside] = 0.0

@@ -28,7 +28,8 @@ class ParameterStore:
     Paths are unique; all iteration is in lexicographic path order so
     that initialization draws, optimizer updates and serialization are
     deterministic. Weights initialize uniform in [-1/sqrt(fan_in),
-    +1/sqrt(fan_in)] from the seeded generator; biases start at zero.
+    +1/sqrt(fan_in)], fan_in being the first dimension, from the seeded
+    generator; biases start at zero.
     """
 
     def __init__(self, seed: int = 0):
@@ -36,11 +37,10 @@ class ParameterStore:
         self._rng = np.random.Generator(np.random.PCG64(seed))
         self.state: dict[str, np.ndarray] = {}  # optimizer slots etc.
 
-    def weight(self, path: str, shape: tuple[int, ...], fan_in: int | None = None) -> Tensor:
+    def weight(self, path: str, shape: tuple[int, ...]) -> Tensor:
         if path in self._params:
             raise ContractError(f"duplicate parameter path: {path}")
-        fan = fan_in if fan_in is not None else shape[0]
-        bound = 1.0 / np.sqrt(float(fan))
+        bound = 1.0 / np.sqrt(float(shape[0]))
         data = self._rng.uniform(-bound, bound, size=shape)
         t = Tensor(data)
         self._params[path] = t
@@ -62,12 +62,6 @@ class ParameterStore:
 
     def __getitem__(self, path: str) -> Tensor:
         return self._params[path]
-
-    def __contains__(self, path: str) -> bool:
-        return path in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def items(self):
         for path in sorted(self._params):

@@ -104,8 +104,7 @@ def intersect_rays_capsules(origin: np.ndarray, dirs: np.ndarray,
     """First hit of unit-direction rays against capsules grouped by body.
 
     ``seg_a`` and ``seg_b`` are (g, k, 3) and ``radii`` (g, k): g groups
-    (bodies) of k capsules, flat index ``group * k + capsule``; flat
-    (k, 3) / (k,) input is one group. Returns (t, index): ray parameter
+    (bodies) of k capsules, flat index ``group * k + capsule``. Returns (t, index): ray parameter
     of the nearest hit (inf for a miss) and the flat index of the
     capsule hit (-1 for a miss; a tie goes to the lower index). The test
     covers the cylindrical band and both sphere caps; taking the minimum
@@ -122,8 +121,6 @@ def intersect_rays_capsules(origin: np.ndarray, dirs: np.ndarray,
     """
     origin = np.asarray(origin, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
-    if np.ndim(radii) == 1:
-        seg_a, seg_b, radii = seg_a[None], seg_b[None], radii[None]
     n_rays = dirs.shape[0]
     k = radii.shape[1]
     t = np.full(n_rays, np.inf)

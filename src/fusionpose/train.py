@@ -358,15 +358,6 @@ class Trainer:
                                     self.model.cfg, self.state)
         return self.log_rows
 
-    def overfit(self, steps: int) -> list[dict]:
-        """The first segment of ``batch_size`` windows, repeated; the optimization smoke test."""
-        _, run = next(itertools.groupby(
-            self.train_samples, key=lambda s: (s.sequence_name, s.track_id)))
-        batch = list(itertools.islice(run, self.cfg.batch_size))
-        with GT_GUARD.forbid():
-            return [{"epoch": 0, "step": step, **self._step(batch)}
-                    for step in range(steps)]
-
 
 def write_loss_log(rows: list[dict], path: str | Path, resumed_at: int = 0) -> None:
     """Write the loss rows; the existing log's rows of epochs before ``resumed_at`` stay."""

@@ -2,8 +2,9 @@
 
 OpenBLAS reads its thread count once, when numpy is first imported. One
 thread is faster for these small float64 GEMMs on a quiet host and far
-faster under contention, and it keeps results independent of the
-host's default thread count.
+faster under contention, and, as in the ``fusionpose`` command, it
+replaces whatever count the environment holds, so results do not depend
+on the host's thread count.
 
 The ``full_disk`` fixture makes every file write of ``fusionpose.binfile``
 fail part way, as on a full disk.
@@ -14,8 +15,7 @@ import os
 
 import pytest
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
 
 
 class FailingFile:

@@ -1,14 +1,33 @@
-"""Central finite-difference verification of reverse-mode gradients."""
+"""Test scaffolding that no ``fusionpose`` command runs.
+
+- ``finite_diff_check``: central finite-difference verification of the
+  tape's reverse-mode gradients (criterion 1, ``test_gradcheck``,
+  ``test_model``);
+- ``overfit``: the single-batch optimization smoke test (criterion 7a);
+- ``unproject``: the inverse of ``geometry.project`` at known depths
+  (criterion 5);
+- ``affine_raster``: a raster that bilinear sampling reproduces exactly;
+- ``read_exported_poses``: re-reads an ``export-poses`` file.
+"""
 
 from __future__ import annotations
 
+import csv
+import itertools
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tape, backward
-from .errors import InvalidInputError
-from .params import ParameterStore
+from fusionpose.autodiff import Tape, backward
+from fusionpose.errors import InvalidInputError
+from fusionpose.geometry import Calibration
+from fusionpose.gtguard import GT_GUARD
+from fusionpose.params import ParameterStore
+from fusionpose.train import Trainer
+
+# ---------------------------------------------------------------------------
+# finite differences
 
 
 @dataclass
@@ -115,3 +134,49 @@ def finite_diff_check(f, store: ParameterStore, step: float = 1e-5,
             worst = max(worst, _rel_err(float(gflat[i]), fd))
         report.per_param[path] = worst
     return report
+
+
+# ---------------------------------------------------------------------------
+# training, geometry, exported poses
+
+
+def overfit(trainer: Trainer, steps: int) -> list[dict]:
+    """The first segment of ``batch_size`` windows, repeated; the optimization smoke test."""
+    _, run = next(itertools.groupby(
+        trainer.train_samples, key=lambda s: (s.sequence_name, s.track_id)))
+    batch = list(itertools.islice(run, trainer.cfg.batch_size))
+    with GT_GUARD.forbid():
+        return [{"epoch": 0, "step": step, **trainer._step(batch)}
+                for step in range(steps)]
+
+
+def unproject(pixels: np.ndarray, depths: np.ndarray, calib: Calibration) -> np.ndarray:
+    """Invert ``project`` at known camera depths, returning world points."""
+    pixels = np.asarray(pixels, dtype=np.float64)
+    depths = np.asarray(depths, dtype=np.float64)
+    x = (pixels[:, 0] - calib.cx) / calib.fx * depths
+    y = (pixels[:, 1] - calib.cy) / calib.fy * depths
+    cam = np.stack([x, y, depths], axis=1)
+    return (cam - calib.translation) @ calib.rotation
+
+
+def affine_raster(h: int, w: int) -> np.ndarray:
+    """An (h, w, 3) raster affine in the pixel coordinates, which bilinear
+    sampling reproduces exactly away from the border."""
+    v, u = np.mgrid[0:h, 0:w].astype(np.float64)
+    return np.stack([0.3 + 0.02 * u - 0.01 * v, -0.5 + 0.004 * u + 0.03 * v,
+                     0.1 * u], axis=-1)
+
+
+def read_exported_poses(path: str | Path) -> dict:
+    """Re-read an exported pose file into {(seq, track, frame): (k, 3)}."""
+    grouped: dict[tuple, dict[int, tuple]] = {}
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            key = (row["sequence"], int(row["track_id"]), int(row["frame"]))
+            grouped.setdefault(key, {})[int(row["joint"])] = (
+                float(row["x"]), float(row["y"]), float(row["z"]))
+    return {
+        key: np.array([joints[j] for j in sorted(joints)])
+        for key, joints in grouped.items()
+    }

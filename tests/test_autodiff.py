@@ -184,7 +184,7 @@ def test_elementwise_gradients():
     assert_grad_close(lambda x: ad.div(x, other), x0)
     assert_grad_close(lambda x: ad.div(other, x), x0)
     assert_grad_close(lambda x: ad.sub(x, other), x0)
-    assert_grad_close(lambda x: ad.scale(ad.neg(x), 2.5), x0)
+    assert_grad_close(lambda x: ad.scale(ad.scale(x, -1.0), 2.5), x0)
 
 
 def test_structural_gradients():

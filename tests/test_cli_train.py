@@ -16,7 +16,7 @@ from fusionpose.cli import main
 from fusionpose.config import load_config
 from fusionpose.dataio import InstanceDataset, load_split
 from fusionpose.errors import FusionPoseError, InvalidInputError
-from fusionpose.evaluate import export_poses, read_exported_poses
+from fusionpose.evaluate import export_poses
 from fusionpose.metrics import pck
 from fusionpose.model import FusionPoseModel, build_model
 from fusionpose.params import ParameterStore
@@ -27,6 +27,7 @@ from fusionpose.synthdata.generate import (SceneConfig, child_seed,
 from fusionpose.synthdata.seqfile import read_sequence
 from fusionpose.train import (LOSS_NAMES, Trainer, TrainingAborted, TrainState,
                               latest_checkpoint, save_checkpoint)
+from support import read_exported_poses
 
 TINY_CFG = """
 seed = 3
@@ -418,7 +419,7 @@ def test_paths_the_os_refuses_exit_2(workdir, tmp_path, capsys, line, command):
     assert err.startswith("fusionpose: error:") and len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("command", [["eval", "--baseline"], ["ablate", "--study", "density"]],
+@pytest.mark.parametrize("command", [["eval"], ["ablate", "--study", "density"]],
                          ids=["eval", "ablate"])
 def test_a_refused_out_path_fails_before_the_work(workdir, tmp_path, capsys, monkeypatch,
                                                   command):
@@ -502,7 +503,7 @@ def test_non_finite_gradient_aborts_before_the_optimizer_step(workdir, monkeypat
     assert trainer.state.step == 0
 
 
-def test_cli_pins_blas_threads_before_numpy_loads():
+def test_cli_pins_blas_threads_before_numpy_loads(tmp_path):
     probe = textwrap.dedent("""
         import os, sys
         seen = []
@@ -514,6 +515,7 @@ def test_cli_pins_blas_threads_before_numpy_loads():
         sys.meta_path.insert(0, Spy())
         import fusionpose.cli
         print(*seen[0])
+        sys.exit(fusionpose.cli.main(["generate", "--config", "missing.cfg"]))
     """)
     src = str(Path(fusionpose.__file__).parents[1])
     env = {k: v for k, v in os.environ.items()
@@ -522,11 +524,55 @@ def test_cli_pins_blas_threads_before_numpy_loads():
 
     def numpy_sees(**extra):
         out = subprocess.run([sys.executable, "-c", probe], env={**env, **extra},
-                             capture_output=True, text=True, check=True)
-        return out.stdout.split()
+                             cwd=tmp_path, capture_output=True, text=True)
+        assert out.returncode == 2
+        err = out.stderr.splitlines()
+        assert err[-1].startswith("fusionpose: error:")
+        return out.stdout.split(), err[:-1]
 
-    assert numpy_sees() == ["1", "1"]
-    assert numpy_sees(OPENBLAS_NUM_THREADS="3") == ["3", "1"]
+    assert numpy_sees() == (["1", "1"], [])
+    assert numpy_sees(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1") == (["1", "1"], [])
+    # a count the host sets is replaced, and the command says so in one
+    # line that is not an error
+    for extra in ({"OPENBLAS_NUM_THREADS": "3"}, {"OMP_NUM_THREADS": "2"},
+                  {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "4"}):
+        seen, notes = numpy_sees(**extra)
+        assert seen == ["1", "1"]
+        assert len(notes) == 1 and notes[0].startswith("fusionpose: note:"), notes
+        assert all(f"{var}={value}" in notes[0] for var, value in extra.items())
+
+
+def test_outputs_are_byte_identical_at_two_blas_threads(tmp_path):
+    # width 64 and up to 128 points per crop: OpenBLAS splits some of these
+    # products differently at 2 threads, so the checkpoint and both eval
+    # reports differ unless the CLI pins one thread
+    cfgtext = (TINY_CFG.replace("model.width = 32", "model.width = 64")
+               .replace("model.n_points = 32", "model.n_points = 128")
+               .replace("optim.epochs = 2", "optim.epochs = 1"))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(fusionpose.__file__).parents[1])
+
+    def run(name, **threads):
+        root = tmp_path / name
+        root.mkdir()
+        (root / "run.cfg").write_text(cfgtext)
+        for command in (["generate"], ["train"], ["eval"]):
+            proc = subprocess.run([sys.executable, "-m", "fusionpose.cli", *command,
+                                   "--config", "run.cfg"], cwd=root, env={**env, **threads},
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr == ("fusionpose: note: OPENBLAS_NUM_THREADS=2 "
+                                   "OMP_NUM_THREADS=2 replaced by 1 thread, so that "
+                                   "outputs do not depend on the thread count\n"
+                                   if threads else "")
+        return {path.relative_to(root): path.read_bytes()
+                for path in sorted(root.rglob("*")) if path.is_file()}
+
+    default = run("default")
+    two = run("two", OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+    assert len(default) == 8 and default.keys() == two.keys()
+    assert [name for name in default if default[name] != two[name]] == []
 
 
 def test_cli_import_loads_no_scipy():
@@ -612,6 +658,28 @@ def test_unknown_study_exits_2(workdir):
     with pytest.raises(SystemExit) as exc:
         main(["ablate", "--config", cfg_path(workdir), "--study", "bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["eval", "--oracle", "--baseline"],
+    ["eval", "--oracle", "--checkpoint", "{ckpt}"],
+    ["eval", "--baseline", "--checkpoint", "{ckpt}"],
+    ["export-poses", "--gt", "--checkpoint", "{ckpt}"],
+], ids=["eval_oracle_baseline", "eval_oracle_checkpoint", "eval_baseline_checkpoint",
+        "export_gt_checkpoint"])
+def test_conflicting_flags_exit_2_and_write_nothing(workdir, tmp_path, capsys, command):
+    cfg = load_config(cfg_path(workdir))
+    _, store = build_model(cfg.model_config(), cfg.seed)
+    ckpt = tmp_path / "epoch_000.fpck"
+    save_checkpoint(store, ckpt, cfg.model_config(), TrainState(seed=cfg.seed))
+    reports = sorted((workdir / "reports").rglob("*"))
+    argv = [arg.format(ckpt=ckpt) for arg in command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", cfg_path(workdir), "--out", str(tmp_path / "out.csv")])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [ckpt]
+    assert sorted((workdir / "reports").rglob("*")) == reports
 
 
 @pytest.mark.parametrize("line, key", [

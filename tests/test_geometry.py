@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 
 from fusionpose.errors import EmptyCropError, InvalidInputError
 from fusionpose.geometry import (BONES, JOINT_NAMES, N_JOINTS, ROOT_INDEX,
-                                 Calibration, Pose3D, crop_image, crop_points,
+                                 Calibration, Pose3D, bilinear_sample, crop_coords,
+                                 crop_image, crop_points,
                                  downsample, interpolation_matrix, project,
-                                 rot_z, sq_dists, unproject)
+                                 rot_z, sq_dists)
 from fusionpose.synthdata import body
 from fusionpose.synthdata.generate import default_calibration
+from support import affine_raster, unproject
 
 
 def identity_calib(fx=1.0, fy=1.0, cx=0.0, cy=0.0):
@@ -297,6 +299,26 @@ def test_crop_image_identity_box_reproduces_image():
     img = rng.random((8, 8, 3))
     out = crop_image(img, (0.0, 0.0, 8.0, 8.0), (8, 8))
     np.testing.assert_allclose(out, img)
+
+
+def test_sampling_a_crop_at_crop_coords_gives_the_raster_at_the_pixel():
+    rng = np.random.default_rng(31)
+    raster = affine_raster(96, 96)
+    interior = 0
+    for hw in (8, 16, 32):
+        for _ in range(30):
+            u0, v0 = rng.uniform(2.0, 40.0, 2)
+            box = (u0, v0, u0 + rng.uniform(4.0, 50.0), v0 + rng.uniform(4.0, 50.0))
+            crop = crop_image(raster, box, (hw, hw))
+            pixels = np.stack([rng.uniform(box[0] - 2.0, box[2] + 2.0, 100),
+                               rng.uniform(box[1] - 2.0, box[3] + 2.0, 100)], axis=1)
+            coords = crop_coords(pixels, box, hw)
+            keep = ((coords >= 0.0) & (coords <= hw - 1.0)).all(axis=1)
+            got = bilinear_sample(crop, coords[keep, 0], coords[keep, 1])
+            want = bilinear_sample(raster, pixels[keep, 0], pixels[keep, 1])
+            assert np.abs(got - want).max() < 1e-9
+            interior += int(keep.sum())
+    assert interior > 3000
 
 
 def test_crop_image_rejects_degenerate_box():

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from fusionpose import autodiff as ad
 from fusionpose.errors import ConfigError, DimensionError
-from fusionpose.geometry import N_JOINTS, project
+from fusionpose.geometry import N_JOINTS, bilinear_sample, crop_coords, crop_image, project
 from fusionpose.model import (FUSION_VARIANTS, Attention, FusionPoseModel,
                               ModelConfig, ModelFrame, build_model, lookup_weights)
 from fusionpose.params import ParameterStore
 from fusionpose.synthdata.generate import default_calibration
+from support import affine_raster, finite_diff_check
 
 CALIB = default_calibration(96, 96)
 
@@ -231,14 +232,45 @@ def test_lookup_weights_rows_sum_to_at_most_one():
     assert lookup_weights(far, CALIB, (20.0, 20.0, 76.0, 76.0), 16).sum() == 0.0
 
 
+def test_point_rgb_colours_are_the_raster_at_each_projected_pixel():
+    cfg = tiny_config(fusion="point_rgb")
+    model, _ = build_model(cfg, seed=25)
+    raster = affine_raster(96, 96)
+    center = np.array([7.0, 0.0, 1.0])
+    pts = np.random.default_rng(26).normal(0.0, 0.4, size=(300, 3))
+    pixels, valid = project(pts + center, CALIB)
+    assert valid.all()
+    box = (*(np.percentile(pixels, 10, axis=0) - 0.3), *(np.percentile(pixels, 90, axis=0)))
+    frame = ModelFrame(pts, crop_image(raster, box, (cfg.image_hw, cfg.image_hw)), center,
+                       box, CALIB)
+    seen = []
+    model.point_encoder = seen.append
+    model.fuse_frame(frame)
+    colours = seen[0][:, 3:]
+    coords = crop_coords(pixels, box, cfg.image_hw)
+    inside = ((coords >= 0.0) & (coords <= cfg.image_hw - 1.0)).all(axis=1)
+    assert inside.sum() > 100
+    want = bilinear_sample(raster, pixels[inside, 0], pixels[inside, 1])
+    assert np.abs(colours[inside] - want).max() < 1e-9
+    outside = ((coords <= -1.0) | (coords >= cfg.image_hw)).any(axis=1)
+    assert outside.sum() > 50 and (colours[outside] == 0.0).all()
+
+
 def lookup_weights_loop(points_world, calib, box2d, image_hw):
-    """Per-point reference for the vectorized ``lookup_weights``."""
+    """Per-point reference for the vectorized ``lookup_weights``.
+
+    Raster coordinate u is crop coordinate (u + 0.5 - u0) / (u1 - u0) *
+    image_hw - 0.5 (``crop_image`` inverted), and token t's centre is
+    crop coordinate 8t + 3.5.
+    """
     grid = image_hw // 8
     weights = np.zeros((len(points_world), grid * grid))
     pixels, valid = project(points_world, calib)
     u0, v0, u1, v1 = box2d
-    gu = (pixels[:, 0] - u0) / (u1 - u0) * image_hw / 8.0 - 0.5
-    gv = (pixels[:, 1] - v0) / (v1 - v0) * image_hw / 8.0 - 0.5
+    cu = (pixels[:, 0] + 0.5 - u0) / (u1 - u0) * image_hw - 0.5
+    cv = (pixels[:, 1] + 0.5 - v0) / (v1 - v0) * image_hw - 0.5
+    gu = (cu + 0.5) / 8.0 - 0.5
+    gv = (cv + 0.5) / 8.0 - 0.5
     ok = valid & (gu > -1.0) & (gu < grid) & (gv > -1.0) & (gv < grid)
     for i in np.nonzero(ok)[0]:
         x0, y0 = int(np.floor(gu[i])), int(np.floor(gv[i]))
@@ -349,9 +381,6 @@ def test_same_seed_same_data_bit_identical_outputs():
 
 
 def test_full_model_gradient_matches_finite_differences():
-    from fusionpose.gradcheck import finite_diff_check
-    from fusionpose.params import ParameterStore
-
     cfg = tiny_config(window=2)
     store = ParameterStore(seed=22)
     model = FusionPoseModel(cfg, store)
@@ -361,7 +390,7 @@ def test_full_model_gradient_matches_finite_differences():
     def f(s):
         outs = model.forward(frames)
         diff = ad.sub(outs[1].final_pose, target + frames[1].box_center)
-        return ad.mean_all(ad.mul(diff, diff))
+        return ad.scale(ad.sum_all(ad.mul(diff, diff)), 1.0 / diff.data.size)
 
     report = finite_diff_check(f, store, max_coords_per_param=3)
     assert report.max_error < 1e-3, report.worst()

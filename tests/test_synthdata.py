@@ -84,8 +84,8 @@ def test_vertical_capsule_hit_range():
     a = np.array([[5.0, 0.0, 0.0]])
     b = np.array([[5.0, 0.0, 3.0]])
     dirs = np.array([[1.0, 0.0, 0.0]])
-    t, idx = intersect_rays_capsules(np.array([0.0, 0.0, 1.2]), dirs, a, b,
-                                     np.array([radius]))
+    t, idx = intersect_rays_capsules(np.array([0.0, 0.0, 1.2]), dirs, a[None], b[None],
+                                     np.array([[radius]]))
     assert idx[0] == 0
     assert abs(t[0] - (5.0 - radius)) < 1e-9
 
@@ -94,8 +94,8 @@ def test_vertical_capsule_hit_range():
 def test_miss_returns_infinite_range():
     a = np.array([[5.0, 10.0, 0.0]])
     b = np.array([[5.0, 10.0, 3.0]])
-    t, idx = intersect_rays_capsules(np.zeros(3), np.array([[1.0, 0, 0]]), a, b,
-                                     np.array([0.2]))
+    t, idx = intersect_rays_capsules(np.zeros(3), np.array([[1.0, 0, 0]]), a[None], b[None],
+                                     np.array([[0.2]]))
     assert np.isinf(t[0]) and idx[0] == -1
 
 
@@ -254,7 +254,7 @@ def test_culled_intersection_is_bit_identical_to_all_pairs():
     hits = 0
     for _ in range(300):
         origin, dirs, seg_a, seg_b, radii = random_capsule_scene(rng)
-        t, idx = intersect_rays_capsules(origin, dirs, seg_a, seg_b, radii)
+        t, idx = intersect_rays_capsules(origin, dirs, seg_a[None], seg_b[None], radii[None])
         t_ref, idx_ref = all_pairs_reference(origin, dirs, seg_a, seg_b, radii)
         assert t.tobytes() == t_ref.tobytes()
         np.testing.assert_array_equal(idx, idx_ref)
@@ -282,7 +282,7 @@ def test_one_candidate_ray_matches_all_pairs():
         radii = rng.uniform(0.05, 0.3, 1)
         hit = _unit((a + b) / 2.0 + rng.normal(0.0, 0.05, 3))
         dirs = np.vstack([hit, -hit])  # only the first can reach the capsule
-        got = intersect_rays_capsules(np.zeros(3), dirs, a, b, radii)
+        got = intersect_rays_capsules(np.zeros(3), dirs, a[None], b[None], radii[None])
         ref = all_pairs_reference(np.zeros(3), dirs, a, b, radii)
         assert got[0].tobytes() == ref[0].tobytes()
         np.testing.assert_array_equal(got[1], ref[1])

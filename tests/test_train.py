@@ -19,6 +19,7 @@ from fusionpose.losses import (chamfer_agu_loss, consistency_loss, motion_loss,
 from fusionpose.model import FusionPoseModel, TemporalEstimator, build_model
 from fusionpose.synthdata.generate import child_seed, generate_dataset
 from fusionpose.train import LOSS_NAMES, Trainer, batch_gradients
+from support import overfit
 
 TINY_CFG = """
 seed = 3
@@ -191,11 +192,11 @@ def test_overfit_repeats_the_first_segment_of_the_first_track(tiny, monkeypatch)
     trainer.train_samples = run[:cfg.batch_size - 1] + rest
     seen = []
     monkeypatch.setattr(trainer, "_step", lambda batch: seen.append(batch) or {"total": 0.0})
-    trainer.overfit(2)
+    overfit(trainer, 2)
     assert seen == [run[:cfg.batch_size - 1]] * 2
     trainer.train_samples = run
     seen.clear()
-    trainer.overfit(1)
+    overfit(trainer, 1)
     assert seen == [run[:cfg.batch_size]]
 
 
