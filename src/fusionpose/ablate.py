@@ -21,6 +21,10 @@ from .train import Trainer
 
 STUDIES = ("fusion", "loss_components", "density", "occlusion")
 
+# Share of each crop's points that the occlusion study's second arm drops;
+# its first arm is clean.
+OCCLUSION_FRACTION = 0.6
+
 # Stacked arms mirroring the component table: attention fusion alone,
 # then adding the consistency block, motion block, and Chamfer term.
 LOSS_ARMS = (
@@ -87,7 +91,7 @@ def run_study(cfg: RunConfig, study: str,
     if study == "density":
         arms = [(str(budget), {"point_budget": budget}) for budget in cfg.point_budgets]
     else:  # occlusion
-        arms = [(repr(f), {"occlusion": f}) for f in (0.0, cfg.occlusion_fraction)]
+        arms = [(repr(f), {"occlusion": f}) for f in (0.0, OCCLUSION_FRACTION)]
     for arm, degrade in arms:
         report, _ = evaluate_dataset(model, val_data, "val", cfg.bone_samples,
                                      cfg.squared_cd, seed=cfg.seed, **degrade)

@@ -40,10 +40,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, node_id={self.node_id})"
 
@@ -210,9 +206,8 @@ def relu(x) -> Tensor:
 def sigmoid(x) -> Tensor:
     xv = _value(x)
     # Two-branch form: stable for large |x| in either direction.
-    out = np.where(xv >= 0,
-                   1.0 / (1.0 + np.exp(-np.abs(xv))),
-                   np.exp(-np.abs(xv)) / (1.0 + np.exp(-np.abs(xv))))
+    e = np.exp(-np.abs(xv))
+    out = np.where(xv >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return _apply(out, (x, lambda g, out=out: g * out * (1.0 - out)))
 
 

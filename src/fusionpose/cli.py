@@ -29,7 +29,7 @@ from .errors import CheckpointMismatchError, FusionPoseError
 from .evaluate import evaluate_dataset, export_poses, write_window_scores
 from .model import FusionPoseModel, build_model
 from .synthdata.generate import generate_dataset
-from .train import (Trainer, TrainingAborted, latest_checkpoint,
+from .train import (LOSS_NAMES, Trainer, TrainingAborted, latest_checkpoint,
                     load_checkpoint, write_loss_log)
 
 
@@ -74,8 +74,7 @@ def cmd_train(args) -> int:
     log_path = _out_path(cfg, None, "loss_log.csv")
 
     def progress(row):
-        parts = " ".join(f"{k}={row[k]:.4f}" for k in
-                         ("motion", "consistency", "proj", "cd_agu", "total"))
+        parts = " ".join(f"{k}={row[k]:.4f}" for k in (*LOSS_NAMES, "total"))
         print(f"epoch={row['epoch']} step={row['step']} {parts}")
 
     trainer.train(checkpoint_dir=ckpt_dir, resume=not args.no_resume,

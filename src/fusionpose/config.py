@@ -14,14 +14,11 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .losses import LossWeights
 from .model import ModelConfig
-from .synthdata.generate import (SceneConfig, default_calibration, default_scene,
-                                 train_frame_count)
+from .synthdata.generate import MIN_FRAMES, SceneConfig, default_scene, train_frame_count
 
 _MAX_PERSONS = 1000
 _MAX_FRAMES = 1_000_000
-_MIN_FRAMES = 8  # train_frame_count leaves each split at least 4 frames
 
 
 @dataclass
@@ -40,10 +37,6 @@ class RunConfig:
     head_hidden: int = 64
     fusion: str = "ipa"
     # losses
-    lambda_motion: float = 1.0
-    lambda_consistency: float = 0.1
-    lambda_proj: float = 1.0
-    lambda_cd_agu: float = 0.5
     bone_samples: int = 3
     # optimizer / training
     step_size: float = 1e-3
@@ -61,7 +54,6 @@ class RunConfig:
     raster_w: int = 96
     val_fraction: float = 0.3
     # ablation switches
-    occlusion_fraction: float = 0.6
     point_budgets: tuple[int, ...] = (256, 128, 64, 32)
     squared_cd: bool = False
     base_dir: str = "."
@@ -72,8 +64,8 @@ class RunConfig:
         # Generation loops over persons and frames: bound both.
         if not 1 <= self.scene_persons <= _MAX_PERSONS:
             raise ConfigError(f"scene.persons must be in [1, {_MAX_PERSONS}]")
-        if not _MIN_FRAMES <= self.scene_frames <= _MAX_FRAMES:
-            raise ConfigError(f"scene.frames must be in [{_MIN_FRAMES}, {_MAX_FRAMES}]")
+        if not MIN_FRAMES <= self.scene_frames <= _MAX_FRAMES:
+            raise ConfigError(f"scene.frames must be in [{MIN_FRAMES}, {_MAX_FRAMES}]")
         for name in ("raster_h", "raster_w"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"scene.{name} must be >= 1")
@@ -93,9 +85,6 @@ class RunConfig:
             raise ConfigError("train.window_stride must be >= 1")
         if self.bone_samples < 0:
             raise ConfigError("loss.bone_samples must be >= 0")
-        for name in ("lambda_motion", "lambda_consistency", "lambda_proj", "lambda_cd_agu"):
-            if not 0.0 <= getattr(self, name) < math.inf:  # also rejects nan
-                raise ConfigError(f"loss.{name} must be finite and >= 0")
         if not 0.0 < self.step_size < math.inf:
             raise ConfigError("optim.step_size must be finite and > 0")
         if self.epochs < 1:
@@ -106,8 +95,6 @@ class RunConfig:
             raise ConfigError("assoc.gate_distance must be finite and > 0")
         if self.max_misses < 0:
             raise ConfigError("assoc.max_misses must be >= 0")
-        if not 0.0 <= self.occlusion_fraction < 1.0:  # also rejects nan
-            raise ConfigError("ablate.occlusion_fraction must be finite and in [0, 1)")
         if not self.point_budgets or any(budget < 1 for budget in self.point_budgets):
             raise ConfigError("ablate.point_budgets must list budgets, each >= 1")
 
@@ -127,12 +114,6 @@ class RunConfig:
             fusion=fusion or self.fusion,
         )
 
-    def loss_weights(self, overrides: dict[str, float] | None = None) -> LossWeights:
-        values = dict(motion=self.lambda_motion, consistency=self.lambda_consistency,
-                      proj=self.lambda_proj, cd_agu=self.lambda_cd_agu)
-        values.update(overrides or {})
-        return LossWeights(**values)
-
     def scene_config(self) -> SceneConfig:
         """The scene at this config's size; the sensors and noise are
         ``SceneConfig``'s defaults."""
@@ -142,7 +123,6 @@ class RunConfig:
             seed=self.seed,
             raster_h=self.raster_h,
             raster_w=self.raster_w,
-            calibration=default_calibration(self.raster_w, self.raster_h),
             val_fraction=self.val_fraction,
         )
 
@@ -159,10 +139,6 @@ _KEY_MAP = {
     "model.joint_feat_dim": "joint_feat_dim",
     "model.head_hidden": "head_hidden",
     "model.fusion": "fusion",
-    "loss.lambda_motion": "lambda_motion",
-    "loss.lambda_consistency": "lambda_consistency",
-    "loss.lambda_proj": "lambda_proj",
-    "loss.lambda_cd_agu": "lambda_cd_agu",
     "loss.bone_samples": "bone_samples",
     "optim.step_size": "step_size",
     "optim.epochs": "epochs",
@@ -176,7 +152,6 @@ _KEY_MAP = {
     "scene.raster_h": "raster_h",
     "scene.raster_w": "raster_w",
     "scene.val_fraction": "val_fraction",
-    "ablate.occlusion_fraction": "occlusion_fraction",
     "ablate.point_budgets": "point_budgets",
     "eval.squared_cd": "squared_cd",
 }

@@ -14,7 +14,7 @@ sum of the per-frame terms; one frame is the F = 1 case.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -27,7 +27,7 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Weights of the four objective terms."""
+    """Weights of the four objective terms; the field names name the terms."""
 
     motion: float = 1.0
     consistency: float = 0.1
@@ -35,10 +35,13 @@ class LossWeights:
     cd_agu: float = 0.5
 
     def __post_init__(self):
-        if min(self.motion, self.consistency, self.proj, self.cd_agu) < 0:
+        if min(astuple(self)) < 0:
             raise InvalidInputError("loss weights must be nonnegative")
-        if max(self.motion, self.consistency, self.proj, self.cd_agu) == 0:
+        if max(astuple(self)) == 0:
             log.warning("all loss weights are zero; training will be a no-op")
+
+
+LOSS_NAMES = tuple(f.name for f in fields(LossWeights))
 
 
 def _select_rows(x, mask: np.ndarray):
@@ -182,14 +185,9 @@ def chamfer_agu_loss(pred_pose, cloud: np.ndarray, samples_per_bone: int) -> ad.
 
 def total_loss(components: dict[str, ad.Tensor], weights: LossWeights) -> ad.Tensor:
     """Weighted sum of the four loss terms (linear in the weights)."""
-    pairs = (
-        ("motion", weights.motion),
-        ("consistency", weights.consistency),
-        ("proj", weights.proj),
-        ("cd_agu", weights.cd_agu),
-    )
     total = _zero()
-    for name, weight in pairs:
+    for name in LOSS_NAMES:
+        weight = getattr(weights, name)
         if weight != 0.0 and name in components:
             total = ad.add(total, ad.scale(components[name], weight))
     return total

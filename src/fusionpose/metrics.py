@@ -110,10 +110,6 @@ class MetricAccumulator:
             self._cds.append(cd_metric(pred, cloud, self.samples_per_bone, self.squared_cd))
         return err
 
-    @property
-    def n_samples(self) -> int:
-        return len(self._errors)
-
     def report(self, split: str) -> MetricReport:
         if not self._errors:
             raise InvalidInputError("no samples accumulated")

@@ -38,26 +38,21 @@ class ParameterStore:
         self.state: dict[str, np.ndarray] = {}  # optimizer slots etc.
 
     def weight(self, path: str, shape: tuple[int, ...]) -> Tensor:
-        if path in self._params:
-            raise ContractError(f"duplicate parameter path: {path}")
         bound = 1.0 / np.sqrt(float(shape[0]))
-        data = self._rng.uniform(-bound, bound, size=shape)
-        t = Tensor(data)
-        self._params[path] = t
-        return t
+        return self._register(path, lambda: self._rng.uniform(-bound, bound, size=shape))
 
     def zeros(self, path: str, shape: tuple[int, ...]) -> Tensor:
-        if path in self._params:
-            raise ContractError(f"duplicate parameter path: {path}")
-        t = Tensor(np.zeros(shape))
-        self._params[path] = t
-        return t
+        return self._register(path, lambda: np.zeros(shape))
 
     def from_value(self, path: str, value) -> Tensor:
+        return self._register(path, lambda: np.array(value, dtype=np.float64))
+
+    def _register(self, path: str, make_data) -> Tensor:
+        """A new parameter at ``path``; ``make_data`` runs only once the
+        path is known to be free, so a refused path draws nothing."""
         if path in self._params:
             raise ContractError(f"duplicate parameter path: {path}")
-        t = Tensor(np.array(value, dtype=np.float64))
-        self._params[path] = t
+        t = self._params[path] = Tensor(make_data())
         return t
 
     def __getitem__(self, path: str) -> Tensor:

@@ -27,7 +27,7 @@ def child_seed(*keys: int) -> int:
     return int(np.random.SeedSequence([int(k) for k in keys]).generate_state(1)[0])
 
 
-def default_calibration(width: int = 96, height: int = 96) -> Calibration:
+def default_calibration(width: int, height: int) -> Calibration:
     """Camera beside the LiDAR, looking down the world +x axis."""
     rotation = np.array([[0.0, -1.0, 0.0],
                          [0.0, 0.0, -1.0],
@@ -38,27 +38,39 @@ def default_calibration(width: int = 96, height: int = 96) -> Calibration:
     return Calibration(f, f, width / 2.0, height / 2.0, rotation, translation)
 
 
+# Fewest frames a scene may have: train_frame_count leaves each split at
+# least 4 frames.
+MIN_FRAMES = 8
+
+
 @dataclass(frozen=True)
 class SceneConfig:
-    """Complete description of one synthetic multi-person scene."""
+    """Complete description of one synthetic multi-person scene.
+
+    The camera is ``default_calibration`` for the ``raster_w`` x
+    ``raster_h`` raster.
+    """
 
     persons: tuple[tuple[BodyModel, MotionScript], ...]
     frame_count: int = 200
     frame_rate_hz: float = 10.0
     raster_h: int = 96
     raster_w: int = 96
-    calibration: Calibration = field(default_factory=default_calibration)
     lidar: LidarConfig = field(default_factory=LidarConfig)
     kp_noise_sigma_px: float = 1.0
     joint_drop_prob: float = 0.03
     jitter: DetectionJitter = field(default_factory=DetectionJitter)
     val_fraction: float = 0.3
     seed: int = 42
+    calibration: Calibration = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "persons", tuple(self.persons))
-        if self.frame_count < 8:
-            raise InvalidInputError("frame_count must give each split one window (>= 8)")
+        object.__setattr__(self, "calibration",
+                           default_calibration(self.raster_w, self.raster_h))
+        if self.frame_count < MIN_FRAMES:
+            raise InvalidInputError(
+                f"frame_count must give each split one window (>= {MIN_FRAMES})")
         if not self.persons:
             raise InvalidInputError("scene needs at least one person")
 

@@ -32,15 +32,13 @@ from .dataio import InstanceDataset, InstanceSample
 from .errors import CheckpointMismatchError, ContractError, InvalidInputError
 from .geometry import N_JOINTS, Pose2D
 from .gtguard import GT_GUARD
-from .losses import (LossWeights, chamfer_agu_loss, consistency_loss,
+from .losses import (LOSS_NAMES, LossWeights, chamfer_agu_loss, consistency_loss,
                      motion_loss, projection_loss, total_loss)
 from .model import FUSION_VARIANTS, FusionPoseModel, ModelConfig, ModelFrame
 from .params import Adam, ParameterStore
 from .synthdata.generate import child_seed
 
 log = logging.getLogger(__name__)
-
-LOSS_NAMES = ("motion", "consistency", "proj", "cd_agu")
 
 
 class TrainingAborted(RuntimeError):
@@ -266,7 +264,7 @@ class Trainer:
         self.dataset = dataset
         self.model = model
         self.store = store
-        self.weights = run_cfg.loss_weights(loss_overrides)
+        self.weights = LossWeights(**(loss_overrides or {}))
         self.optimizer = Adam(store, run_cfg.step_size)
         stride = run_cfg.window_stride
         self.train_samples = [s for s in dataset.samples

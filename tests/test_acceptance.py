@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from fusionpose import autodiff as ad
+from fusionpose.ablate import OCCLUSION_FRACTION, run_study
 from fusionpose.association import hungarian
 from fusionpose.cli import main as cli_main
 from fusionpose.config import load_config, parse_config_text
@@ -360,7 +361,7 @@ def test_criterion_6_weak_supervision_guard(reference_run):
     before = GT_GUARD.access_count
     with GT_GUARD.forbid():
         batch = train_data.samples[: cfg.batch_size]
-        batch_gradients(model, store, train_data, batch, cfg.loss_weights(),
+        batch_gradients(model, store, train_data, batch, LossWeights(),
                         cfg.bone_samples)
     train_touches = GT_GUARD.access_count - before
 
@@ -433,18 +434,16 @@ def test_criterion_8_occlusion_completes(reference_run, trained_reference):
     val = reference_run["val"]
     clean, _ = evaluate_dataset(model, val, "val", cfg.bone_samples)
     occluded, _ = evaluate_dataset(model, val, "val", cfg.bone_samples,
-                                   occlusion=cfg.occlusion_fraction,
+                                   occlusion=OCCLUSION_FRACTION,
                                    seed=cfg.seed)
     drop = clean.pck - occluded.pck
     announce("criterion-8b occlusion-completes",
              np.isfinite(occluded.pck) and np.isfinite(occluded.mpjpe_mm),
              f"pck {clean.pck:.2f} -> {occluded.pck:.2f} at "
-             f"{cfg.occlusion_fraction:.0%} occlusion (drop {drop:.2f})")
+             f"{OCCLUSION_FRACTION:.0%} occlusion (drop {drop:.2f})")
 
 
 def test_criterion_8_loss_component_structure(reference_run):
-    from fusionpose.ablate import run_study
-
     text = reference_run["cfg_file"].read_text()
     text = text.replace("optim.epochs = 30", "optim.epochs = 1")
     text = text.replace("train.window_stride = 1", "train.window_stride = 4")

@@ -22,8 +22,7 @@ from fusionpose.model import FusionPoseModel, build_model
 from fusionpose.params import ParameterStore
 from fusionpose.synthdata import (BodyModel, GaitAmplitudes, MotionScript, pose_at,
                                   simulate_lidar)
-from fusionpose.synthdata.generate import (SceneConfig, child_seed,
-                                           default_calibration, generate_dataset)
+from fusionpose.synthdata.generate import SceneConfig, child_seed, generate_dataset
 from fusionpose.synthdata.seqfile import read_sequence
 from fusionpose.train import (LOSS_NAMES, Trainer, TrainingAborted, TrainState,
                               latest_checkpoint, save_checkpoint)
@@ -692,14 +691,12 @@ def test_conflicting_flags_exit_2_and_write_nothing(workdir, tmp_path, capsys, c
     ("model.width = 30", "model.width"),
     ("model.joints = 21", "model.joints"),
     ("ablate.point_budgets = 256,-1", "ablate.point_budgets"),
-    ("ablate.occlusion_fraction = nan", "ablate.occlusion_fraction"),
     ("loss.bone_samples = -1", "loss.bone_samples"),
     ("scene.frames = 4", "scene.frames"),
     ("scene.frames = 6", "scene.frames"),
     ("optim.step_size = -1", "optim.step_size"),
     ("optim.step_size = nan", "optim.step_size"),
     ("optim.epochs = -3", "optim.epochs"),
-    ("loss.lambda_proj = nan", "loss.lambda_proj"),
     ("assoc.iou_threshold = nan", "assoc.iou_threshold"),
     ("assoc.gate_distance = 0", "assoc.gate_distance"),
     ("assoc.max_misses = -1", "assoc.max_misses"),
@@ -717,8 +714,9 @@ def test_config_values_that_cannot_run_exit_2(tmp_path, capsys, line, key):
     assert not (tmp_path / "data").exists()
 
 
-# Keys that once set the fixed sensor rig, the noise, the Adam betas and
-# the overfit / warm-start modes, each at its former default value.
+# Keys that once set the fixed sensor rig, the noise, the Adam betas, the
+# overfit / warm-start modes, the loss weights and the occlusion fraction,
+# each at its former default value.
 _REMOVED_KEYS = {
     "scene.frame_rate_hz": "10.0",
     "scene.kp_noise_sigma_px": "1.0",
@@ -736,6 +734,11 @@ _REMOVED_KEYS = {
     "optim.beta2": "0.999",
     "optim.overfit_steps": "0",
     "optim.warm_start_epochs": "0",
+    "loss.lambda_motion": "1.0",
+    "loss.lambda_consistency": "0.1",
+    "loss.lambda_proj": "1.0",
+    "loss.lambda_cd_agu": "0.5",
+    "ablate.occlusion_fraction": "0.6",
 }
 
 
@@ -778,8 +781,7 @@ def test_people_leaving_the_view_finish_or_fail_cleanly(tmp_path, capsys):
     behind = MotionScript(((0.0, -4.0, 0.0), (end, -4.0, 0.01)),
                           amplitudes=GaitAmplitudes(0.0, 0.0, 0.0, 0.0))
     scene = SceneConfig(persons=((BodyModel(), walker), (BodyModel(), behind)),
-                        frame_count=frames, raster_h=64, raster_w=64,
-                        calibration=default_calibration(64, 64), val_fraction=0.35,
+                        frame_count=frames, raster_h=64, raster_w=64, val_fraction=0.35,
                         seed=3)
     data = tmp_path / "data"
     generate_dataset(scene, data)

@@ -22,14 +22,14 @@ def test_parse_round_trip_and_comments():
 # comment line
 seed = 9
 model.n_points = 128   # trailing comment
-loss.lambda_proj = 2.5
+assoc.gate_distance = 2.5
 model.fusion = global
 ablate.point_budgets = 64,32
 eval.squared_cd = true
 """)
     assert cfg.seed == 9
     assert cfg.n_points == 128
-    assert cfg.lambda_proj == 2.5
+    assert cfg.gate_distance == 2.5
     assert cfg.fusion == "global"
     assert cfg.point_budgets == (64, 32)
     assert cfg.squared_cd is True
@@ -75,7 +75,7 @@ def test_missing_equals_sign():
     "optim.step_size = inf",
     "optim.epochs = 0",
     "optim.epochs = -3",
-    "loss.lambda_motion = -1",
+    "loss.lambda_motion = -1",  # removed keys: rejected as unknown
     "loss.lambda_consistency = inf",
     "loss.lambda_proj = nan",
     "loss.lambda_cd_agu = -0.5",
@@ -103,7 +103,7 @@ def test_missing_equals_sign():
     "ablate.point_budgets = 8,16,",
     "scene.frames = 8\nmodel.window = 6",
     "scene.frames = 20\nscene.val_fraction = 0.9\nmodel.window = 5",
-    "ablate.occlusion_fraction = -0.2",
+    "ablate.occlusion_fraction = -0.2",  # a removed key: rejected as unknown
     "ablate.occlusion_fraction = 1.0",
     "ablate.occlusion_fraction = nan",
     "ablate.occlusion_fraction = inf",

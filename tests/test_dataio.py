@@ -17,8 +17,7 @@ from fusionpose.synthdata.seqfile import FrameRecord, PersonFrame, SequenceData
 @pytest.fixture(scope="module")
 def dataset_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("data")
-    cfg = default_scene(n_persons=3, frames=24, seed=5, raster_h=64, raster_w=64,
-                        calibration=default_calibration(64, 64))
+    cfg = default_scene(n_persons=3, frames=24, seed=5, raster_h=64, raster_w=64)
     generate_dataset(cfg, out)
     return out
 
@@ -194,8 +193,7 @@ def test_pairing_recovers_identity_under_strong_jitter(tmp_path):
     3D detection."""
     from fusionpose.synthdata.sensors import DetectionJitter
 
-    cfg = default_scene(n_persons=3, frames=12, seed=21, raster_h=64,
-                        raster_w=64, calibration=default_calibration(64, 64),
+    cfg = default_scene(n_persons=3, frames=12, seed=21, raster_h=64, raster_w=64,
                         jitter=DetectionJitter(center_sigma_m=0.2,
                                                box2d_sigma_px=2.0))
     generate_dataset(cfg, tmp_path)

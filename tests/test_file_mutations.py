@@ -18,8 +18,7 @@ from fusionpose.errors import FusionPoseError
 from fusionpose.geometry import N_JOINTS
 from fusionpose.model import ModelConfig, build_model
 from fusionpose.params import Adam, ParameterStore
-from fusionpose.synthdata.generate import (child_seed, default_calibration,
-                                           default_scene, generate_dataset)
+from fusionpose.synthdata.generate import child_seed, default_scene, generate_dataset
 from fusionpose.synthdata.seqfile import MAGIC, read_sequence
 from fusionpose.train import TrainState, load_checkpoint, save_checkpoint
 
@@ -65,8 +64,7 @@ def tiny_sequence(tmp_path_factory):
     """A generated train split, with the offsets of its u32 counts: the
     version, the frame count and each frame's point count."""
     out = tmp_path_factory.mktemp("seq")
-    scene = default_scene(n_persons=2, frames=10, seed=4, raster_h=24, raster_w=24,
-                          calibration=default_calibration(24, 24))
+    scene = default_scene(n_persons=2, frames=10, seed=4, raster_h=24, raster_w=24)
     generate_dataset(scene, out)
     path = out / "train_000.fpseq"
     seq = read_sequence(path)

@@ -524,9 +524,7 @@ def test_occlusion_keeps_a_point_of_every_non_empty_cloud(n, seed, fraction):
 
 
 def small_scene(seed=11):
-    return default_scene(n_persons=2, frames=12, seed=seed, raster_h=48,
-                         raster_w=48,
-                         calibration=default_calibration(48, 48))
+    return default_scene(n_persons=2, frames=12, seed=seed, raster_h=48, raster_w=48)
 
 
 def test_generate_dataset_is_byte_identical(tmp_path):

@@ -14,8 +14,8 @@ from fusionpose.config import parse_config_text
 from fusionpose.dataio import InstanceDataset, load_split
 from fusionpose.errors import ContractError
 from fusionpose.geometry import Pose2D
-from fusionpose.losses import (chamfer_agu_loss, consistency_loss, motion_loss,
-                               projection_loss, total_loss)
+from fusionpose.losses import (LossWeights, chamfer_agu_loss, consistency_loss,
+                               motion_loss, projection_loss, total_loss)
 from fusionpose.model import FusionPoseModel, TemporalEstimator, build_model
 from fusionpose.synthdata.generate import child_seed, generate_dataset
 from fusionpose.train import LOSS_NAMES, Trainer, batch_gradients
@@ -103,7 +103,7 @@ def test_batch_gradients_match_per_window_tapes(tiny):
     cfg, data = tiny
     model, store = build_model(cfg.model_config(), 7)
     batch = overlapping_batch(data)
-    args = (model, store, data, batch, cfg.loss_weights(), cfg.bone_samples)
+    args = (model, store, data, batch, LossWeights(), cfg.bone_samples)
     want, want_means = per_window_tapes(*args)
     got, got_means = batch_gradients(*args)
     # the losses sum over the batch's windows in another order
@@ -153,7 +153,7 @@ def test_segment_step_matches_per_window_tapes(tiny, case):
     batch = [dataclasses.replace(s, frames=[changed[id(fs)] for fs in s.frames])
              for s in windows]
     model, store = build_model(cfg.model_config(), 7)
-    args = (model, store, data, batch, cfg.loss_weights(), cfg.bone_samples)
+    args = (model, store, data, batch, LossWeights(), cfg.bone_samples)
     want, want_means = per_window_tapes(*args)
     got, got_means = batch_gradients(*args)
     for name in want_means:
@@ -177,7 +177,7 @@ def test_a_segment_whose_windows_hold_two_calibration_objects_is_refused(tiny):
         fs, model_input=other)])
     model, store = build_model(cfg.model_config(), 7)
     with pytest.raises(ContractError, match="one calibration"):
-        batch_gradients(model, store, data, batch, cfg.loss_weights(), cfg.bone_samples)
+        batch_gradients(model, store, data, batch, LossWeights(), cfg.bone_samples)
 
 
 def test_overfit_repeats_the_first_segment_of_the_first_track(tiny, monkeypatch):
@@ -218,7 +218,7 @@ def test_each_frame_encoded_twice_and_the_batch_run_through_the_temporal_part_on
     counted(FusionPoseModel, "forward")
     counted(TemporalEstimator, "__call__")
     batch = overlapping_batch(data)
-    batch_gradients(model, store, data, batch, cfg.loss_weights(), cfg.bone_samples)
+    batch_gradients(model, store, data, batch, LossWeights(), cfg.bone_samples)
     distinct = {id(fs) for s in batch for fs in s.frames}
     assert len(distinct) == cfg.window + len(batch) - 1
     assert calls == {"fuse_frame": 2 * len(distinct), "forward": 0, "__call__": 1}
@@ -318,7 +318,7 @@ def test_a_training_step_leaves_the_stored_inputs_untouched(tiny):
     inputs = [fs.model_input for s in batch for fs in s.frames]
     before = [(mf.points.tobytes(), mf.raster.tobytes(), mf.box_center.tobytes())
               for mf in inputs]
-    batch_gradients(model, store, data, batch, cfg.loss_weights(), cfg.bone_samples)
+    batch_gradients(model, store, data, batch, LossWeights(), cfg.bone_samples)
     assert [(mf.points.tobytes(), mf.raster.tobytes(), mf.box_center.tobytes())
             for mf in inputs] == before
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -329,7 +329,7 @@ def test_segment_batch_gradients_are_deterministic(tiny):
     cfg, data = tiny
     model, store = build_model(cfg.model_config(), 9)
     batch = overlapping_batch(data)
-    args = (model, store, data, batch, cfg.loss_weights(), cfg.bone_samples)
+    args = (model, store, data, batch, LossWeights(), cfg.bone_samples)
     first, _ = batch_gradients(*args)
     second, _ = batch_gradients(*args)
     for path in first:
@@ -365,7 +365,7 @@ def test_segment_tape_backward_is_bit_identical_to_the_reference_sweep(
             seen.append((got, reference_sweep(tape, loss, wrt), list(wrt)))
         return got
     monkeypatch.setattr(ad, "backward", checked)
-    batch_gradients(model, store, data, overlapping_batch(data), cfg.loss_weights(),
+    batch_gradients(model, store, data, overlapping_batch(data), LossWeights(),
                     cfg.bone_samples)
     got, want, keys = seen[0]
     assert list(got) == list(want)
