@@ -13,14 +13,25 @@ windows, and each frame's encoder tape is rebuilt in the backward pass
 one frame at a time (frame-level gradient checkpointing), so the memory
 of a step is one frame's encoder tape plus the batch's temporal part
 and losses.
+
+On a machine that lets this process run on two or more CPUs,
+``Trainer.train`` forks one ``FrameWorker``, which holds the same
+dataset and model, and hands it every second distinct frame of each
+batch for the per-frame encoder work. The parent still adds every
+gradient itself, in the order one process would, so checkpoints and
+reports are byte-identical with and without the worker.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import itertools
 import logging
+import mmap
+import multiprocessing
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -114,9 +125,26 @@ def sequence_loss(model: FusionPoseModel, windows: list[list[ModelFrame]],
     return mean, values
 
 
+def _frame_gradients(model: FusionPoseModel, store: ParameterStore,
+                     frame: ModelFrame, leaf_grad: np.ndarray) -> dict[str, np.ndarray]:
+    """Phase 3 for one frame: the parameter gradients of
+    ``sum(encode(frame) * leaf_grad)``, on a tape of the frame's own."""
+    with ad.Tape() as tape:
+        pushed = ad.sum_all(ad.mul(model.encode(frame), leaf_grad))
+    return ad.backward(tape, pushed, store)
+
+
+def _add(grads: dict[str, np.ndarray], parts) -> None:
+    """Add each of ``parts``' parameter gradients into ``grads`` in place."""
+    for path, grad in parts.items():
+        if path in grads:  # not a pooled leaf
+            grads[path] += grad
+
+
 def batch_gradients(model: FusionPoseModel, store: ParameterStore,
                     dataset: InstanceDataset, batch: list[InstanceSample],
-                    weights: LossWeights, bone_samples: int):
+                    weights: LossWeights, bone_samples: int,
+                    worker: FrameWorker | None = None):
     """Mean loss gradients over a batch, each distinct frame encoded once.
 
     1. Every distinct FrameSample of the batch is encoded with no tape;
@@ -127,11 +155,26 @@ def batch_gradients(model: FusionPoseModel, store: ParameterStore,
     3. Each frame's encoder runs again on a tape of its own, and the
        leaf gradient is pushed back through it as the gradient of
        ``sum(pooled * leaf_grad)``.
+
+    The sum starts with phase 2's gradients and adds phase 3's one frame
+    at a time, in the order the frames first appear in the batch. With a
+    ``worker``, the frames at odd positions in that order go through
+    phases 1 and 3 in the worker process, while this process runs the
+    others; their phase-3 gradients come back through shared memory and
+    are added at their own positions in the same order. A frame's
+    gradients come from the same code, inputs, parameters and BLAS in
+    either process, and floating-point sums depend only on their order,
+    so the result is bit-identical to the call without a worker.
     """
     inputs = [dataset.model_frames(sample) for sample in batch]
     # windows that share a crop share its input object
     frames = {id(f): f for window in inputs for f in window}
-    pooled = {key: model.encode(frame) for key, frame in frames.items()}
+    keys = list(frames)
+    if worker:
+        worker.start_step(store, batch)
+    pooled = {key: model.encode(frames[key]) for key in (keys[::2] if worker else keys)}
+    if worker:
+        pooled.update(zip(keys[1::2], worker.pooled()))
 
     with ad.Tape() as tape:
         mean, means = sequence_loss(model, inputs, batch, weights, bone_samples,
@@ -145,19 +188,181 @@ def batch_gradients(model: FusionPoseModel, store: ParameterStore,
     # each parameter's sum starts as zeros of its own, so adds go in
     # place; a tape may reach none of it (e.g. image.* under point_rgb)
     grads = {path: np.zeros_like(tensor.data) for path, tensor in store.items()}
-    for path, grad in g.items():
-        if path in grads:  # not a pooled leaf
-            grads[path] += grad
-
-    for key, frame in frames.items():
+    _add(grads, g)
+    if worker:
+        worker.backprop([g.get(key) for key in keys[1::2]])
+    for i, key in enumerate(keys):
         if key not in g:
             continue  # the loss does not depend on this frame
-        with ad.Tape() as tape:
-            pushed = ad.sum_all(ad.mul(model.encode(frame), g[key]))
-        for path, grad in ad.backward(tape, pushed, store).items():
-            grads[path] += grad
-        del tape, pushed
+        if worker and i % 2:
+            _add(grads, worker.gradients())
+            worker.release()
+        else:
+            _add(grads, _frame_gradients(model, store, frames[key], g[key]))
     return grads, means
+
+
+# -- the frame worker ------------------------------------------------------------
+
+def _shared_arrays(store: ParameterStore) -> dict[str, np.ndarray]:
+    """A zeroed array per parameter, each a view of one anonymous shared
+    mapping that a forked child shares, on a 64-byte boundary."""
+    starts, size = [], 0
+    for _, tensor in store.items():
+        starts.append(size)
+        size += -(-tensor.data.size // 8) * 8
+    flat = np.frombuffer(mmap.mmap(-1, 8 * size), dtype=np.float64)
+    return {path: flat[start:start + tensor.data.size].reshape(tensor.data.shape)
+            for start, (path, tensor) in zip(starts, store.items())}
+
+
+class FrameWorker:
+    """A forked process that takes every second distinct frame of a batch.
+
+    It is forked, not spawned, so that it holds the dataset and the model
+    with nothing pickled, and the same BLAS at the same thread count, so
+    that its frames get the bits they would get in the parent. Its
+    parameters are views of a shared buffer, which the parent fills
+    before each step. Each step is one exchange on a pipe:
+
+    - the parent sends the batch as positions in ``dataset.samples``; the
+      worker encodes its frames with no tape and sends their pooled rows
+      (phase 1);
+    - the parent sends its frames' leaf gradients (None where the loss
+      does not reach the frame); the worker runs phase 3 on each frame
+      in turn, writes the gradients of its n-th into shared slot n % 2,
+      and sends the paths they reach. Before it reuses a slot, it waits
+      for the parent's note that the slot's last gradients are added.
+
+    Every wait of the worker is a pipe read, so closing the parent's end
+    stops it. An exception in the worker is raised again in the parent;
+    a worker that dies becomes ``TrainingAborted``.
+    """
+
+    def __init__(self, model: FusionPoseModel, store: ParameterStore,
+                 dataset: InstanceDataset):
+        self.params = _shared_arrays(store)
+        self.slots = (_shared_arrays(store), _shared_arrays(store))
+        self._position = {id(s): i for i, s in enumerate(dataset.samples)}
+        self._added = self._pending = 0  # this step's worker frames
+        self._conn, child = multiprocessing.Pipe()
+        self.process = multiprocessing.get_context("fork").Process(
+            target=self._serve, args=(child, model, store, dataset), daemon=True)
+        try:
+            self.process.start()
+        except OSError:
+            self._conn.close()
+            raise
+        finally:
+            child.close()
+
+    def _slot(self, n: int) -> dict[str, np.ndarray]:
+        return self.slots[n % 2]
+
+    # -- in the worker
+
+    def _serve(self, conn, model: FusionPoseModel, store: ParameterStore,
+               dataset: InstanceDataset) -> None:
+        self._conn.close()  # else the parent's close would not end the reads
+        for path, tensor in store.items():
+            tensor.data = self.params[path]
+        try:
+            while True:
+                batch = [dataset.samples[i] for i in conn.recv()]
+                frames = {id(f): f for s in batch for f in dataset.model_frames(s)}
+                mine = list(frames.values())[1::2]
+                conn.send([model.encode(frame).data for frame in mine])
+                reached = [(frame, leaf) for frame, leaf in zip(mine, conn.recv())
+                           if leaf is not None]
+                for n, (frame, leaf) in enumerate(reached):
+                    if n >= 2:
+                        conn.recv()  # slot n % 2 is added
+                    grads = _frame_gradients(model, store, frame, leaf)
+                    for path, grad in grads.items():
+                        self._slot(n)[path][...] = grad
+                    conn.send(list(grads))
+        except EOFError:
+            return  # the parent closed its end
+        except Exception as exc:  # raised again in the parent
+            with contextlib.suppress(OSError):  # nobody left to tell
+                try:
+                    conn.send(exc)
+                except Exception:  # it does not pickle
+                    conn.send(RuntimeError(f"training worker: {exc!r}"))
+
+    # -- in the parent
+
+    def start_step(self, store: ParameterStore, batch: list[InstanceSample]) -> None:
+        for path, tensor in store.items():
+            np.copyto(self.params[path], tensor.data)
+        self._send([self._position[id(s)] for s in batch])
+
+    def pooled(self) -> list[ad.Tensor]:
+        """The worker's frames' pooled features, as leaves."""
+        return [ad.Tensor(row) for row in self._recv()]
+
+    def backprop(self, leaf_grads: list[np.ndarray | None]) -> None:
+        self._added = 0
+        self._pending = sum(grad is not None for grad in leaf_grads)
+        self._send(leaf_grads)
+
+    def gradients(self) -> dict[str, np.ndarray]:
+        """The next worker frame's parameter gradients, as views of its slot."""
+        slot = self._slot(self._added)
+        return {path: slot[path] for path in self._recv()}
+
+    def release(self) -> None:
+        """Hand back the slot just added, if a later frame of the step needs it."""
+        self._added += 1
+        if self._added + 1 < self._pending:
+            self._send(None)
+
+    def _send(self, message) -> None:
+        try:
+            self._conn.send(message)
+        except OSError as exc:
+            raise self._died() from exc
+
+    def _recv(self):
+        try:
+            message = self._conn.recv()
+        except (EOFError, OSError) as exc:
+            raise self._died() from exc
+        if isinstance(message, BaseException):
+            raise message
+        return message
+
+    def _died(self) -> TrainingAborted:
+        self.process.join(timeout=1.0)
+        return TrainingAborted(
+            f"the training worker stopped (exit code {self.process.exitcode}); "
+            "last checkpoint kept")
+
+    def close(self) -> None:
+        """Stop the worker and wait for it."""
+        self._conn.close()
+        self.process.join(timeout=10.0)
+        if self.process.is_alive():
+            self.process.kill()
+            self.process.join()
+
+
+def _second_core() -> bool:
+    """Whether this process can fork and may run on two or more CPUs."""
+    return ("fork" in multiprocessing.get_all_start_methods()
+            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2)
+
+
+def fork_worker(model: FusionPoseModel, store: ParameterStore,
+                dataset: InstanceDataset) -> FrameWorker | None:
+    """A FrameWorker where a second core is there and the fork succeeds, else None."""
+    if not _second_core():
+        return None
+    try:
+        return FrameWorker(model, store, dataset)
+    except OSError as exc:
+        log.warning("training in one process: cannot fork a worker: %s", exc)
+        return None
 
 
 # -- checkpoints --------------------------------------------------------------
@@ -274,11 +479,13 @@ class Trainer:
         self.state = TrainState(seed=run_cfg.seed)
         self.start_epoch = 0  # first epoch of the last ``train`` call
         self.log_rows: list[dict] = []
+        self._worker: FrameWorker | None = None  # forked while ``train`` runs
 
     def _step(self, batch: list[InstanceSample]) -> dict[str, float]:
         """One optimizer step on ``batch``; returns its mean loss terms."""
         grads, means = batch_gradients(self.model, self.store, self.dataset,
-                                       batch, self.weights, self.cfg.bone_samples)
+                                       batch, self.weights, self.cfg.bone_samples,
+                                       self._worker)
         if not np.isfinite(means["total"]):
             raise TrainingAborted(
                 f"non-finite loss at step {self.state.step}; "
@@ -343,17 +550,24 @@ class Trainer:
                 log.info("resumed from %s at epoch %d", last, start_epoch)
         self.start_epoch = start_epoch
 
+        # the worker is forked inside the guard's scope, so it faults too
         with GT_GUARD.forbid():
-            for epoch in range(start_epoch, epochs):
-                means = self.run_epoch(epoch)
-                self.state.epoch = epoch + 1
-                row = {"epoch": epoch, "step": self.state.step, **means}
-                self.log_rows.append(row)
-                if progress:
-                    progress(row)
-                if ckpt_dir:
-                    save_checkpoint(self.store, ckpt_dir / f"epoch_{epoch:03d}.fpck",
-                                    self.model.cfg, self.state)
+            self._worker = fork_worker(self.model, self.store, self.dataset)
+            try:
+                for epoch in range(start_epoch, epochs):
+                    means = self.run_epoch(epoch)
+                    self.state.epoch = epoch + 1
+                    row = {"epoch": epoch, "step": self.state.step, **means}
+                    self.log_rows.append(row)
+                    if progress:
+                        progress(row)
+                    if ckpt_dir:
+                        save_checkpoint(self.store, ckpt_dir / f"epoch_{epoch:03d}.fpck",
+                                        self.model.cfg, self.state)
+            finally:
+                if self._worker is not None:
+                    self._worker.close()
+                    self._worker = None
         return self.log_rows
 
 

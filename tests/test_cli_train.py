@@ -1,6 +1,8 @@
 import csv
 import dataclasses
+import multiprocessing
 import os
+import signal
 import struct
 import subprocess
 import sys
@@ -477,6 +479,7 @@ def test_nan_loss_aborts_and_keeps_checkpoint(workdir, tmp_path):
 
 
 def test_non_finite_gradient_aborts_before_the_optimizer_step(workdir, monkeypatch):
+    monkeypatch.setattr(train, "_second_core", lambda: True)  # and stops the worker
     cfg = load_config(cfg_path(workdir))
     data = InstanceDataset(load_split(cfg.path("dataset_dir"), "train"),
                            cfg.model_config())
@@ -484,7 +487,7 @@ def test_non_finite_gradient_aborts_before_the_optimizer_step(workdir, monkeypat
     trainer = Trainer(cfg, data, model, store)
     poisoned = store.paths()[len(store.paths()) // 2]
 
-    def nan_gradients(model, store, dataset, batch, weights, bone_samples):
+    def nan_gradients(model, store, dataset, batch, weights, bone_samples, worker):
         grads = {path: np.zeros_like(t.data) for path, t in store.items()}
         grads[poisoned].flat[-1] = np.nan
         return grads, {name: 1.0 for name in (*LOSS_NAMES, "total")}
@@ -500,6 +503,41 @@ def test_non_finite_gradient_aborts_before_the_optimizer_step(workdir, monkeypat
     for k, v in store.state.items():
         np.testing.assert_array_equal(v, moments[k])
     assert trainer.state.step == 0
+    assert not multiprocessing.active_children()
+
+
+def test_a_killed_worker_aborts_training_and_keeps_the_checkpoint(
+        workdir, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(train, "_second_core", lambda: True)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(TINY_CFG.replace("paths.dataset_dir = data",
+                                        f"paths.dataset_dir = {workdir / 'data'}"))
+    saved, killed = [], []
+    save_checkpoint, batch_gradients = train.save_checkpoint, train.batch_gradients
+
+    def saving(*args):
+        save_checkpoint(*args)
+        saved.append(Path(args[1]).read_bytes())
+
+    def killing(*args):
+        worker = args[-1]
+        if saved and not killed:  # the first step of epoch 1
+            os.kill(worker.process.pid, signal.SIGKILL)
+            worker.process.join(timeout=10)
+            killed.append(worker.process.exitcode)
+        return batch_gradients(*args)
+
+    monkeypatch.setattr(train, "save_checkpoint", saving)
+    monkeypatch.setattr(train, "batch_gradients", killing)
+    assert main(["train", "--config", str(cfgfile)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert killed == [-signal.SIGKILL]
+    assert len(err) == 1 and err[0].startswith("fusionpose: error: ")
+    assert "training worker stopped (exit code -9); last checkpoint kept" in err[0]
+    ckpts = sorted((tmp_path / "ckpt").glob("*.fpck"))
+    assert [p.name for p in ckpts] == ["epoch_000.fpck"]
+    assert ckpts[0].read_bytes() == saved[0]
+    assert not multiprocessing.active_children()
 
 
 def test_cli_pins_blas_threads_before_numpy_loads(tmp_path):

@@ -1,8 +1,13 @@
 """Segment batches and the three-phase batch gradient of ``train``."""
 
 import dataclasses
+import errno
 import functools
 import itertools
+import logging
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionpose import autodiff as ad
+from fusionpose import train
 from fusionpose.config import parse_config_text
 from fusionpose.dataio import InstanceDataset, load_split
 from fusionpose.errors import ContractError
@@ -18,7 +24,7 @@ from fusionpose.losses import (LossWeights, chamfer_agu_loss, consistency_loss,
                                motion_loss, projection_loss, total_loss)
 from fusionpose.model import FusionPoseModel, TemporalEstimator, build_model
 from fusionpose.synthdata.generate import child_seed, generate_dataset
-from fusionpose.train import LOSS_NAMES, Trainer, batch_gradients
+from fusionpose.train import LOSS_NAMES, FrameWorker, Trainer, batch_gradients
 from support import overfit
 
 TINY_CFG = """
@@ -375,3 +381,135 @@ def test_segment_tape_backward_is_bit_identical_to_the_reference_sweep(
     for key in want:
         assert got[key].shape == want[key].shape
         assert got[key].tobytes() == want[key].tobytes(), key
+
+
+# -- the frame worker ---------------------------------------------------------
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """Train with a forked worker whatever the host's CPU count."""
+    monkeypatch.setattr(train, "_second_core", lambda: True)
+
+
+def assert_byte_equal(got, want):
+    """Gradients and loss terms with the same keys and the same bits."""
+    (grads, means), (want_grads, want_means) = got, want
+    assert list(grads) == list(want_grads)
+    for path in want_grads:
+        assert grads[path].tobytes() == want_grads[path].tobytes(), path
+    assert {k: repr(v) for k, v in means.items()} == {k: repr(v) for k, v in want_means.items()}
+
+
+@pytest.mark.parametrize("fusion", ["ipa", "point_rgb"])
+def test_a_worker_leaves_the_gradients_byte_equal(tiny, fusion):
+    """Over two steps with other parameters in between, so the worker reads
+    each step's parameters and reuses its slots."""
+    cfg, data = tiny
+    model, store = build_model(dataclasses.replace(cfg.model_config(), fusion=fusion), 7)
+    args = (model, store, data, overlapping_batch(data), LossWeights(), cfg.bone_samples)
+    worker = FrameWorker(model, store, data)
+    try:
+        for _ in range(2):
+            want = batch_gradients(*args)
+            assert_byte_equal(batch_gradients(*args, worker), want)
+            for _, tensor in store.items():
+                tensor.data = tensor.data * 0.9 + 0.01
+    finally:
+        worker.close()
+    grads = want[0]
+    encoders = [p for p in store.paths() if p.startswith(("point.", "image.", "fuse"))]
+    # under point_rgb no frame reaches image.*, so no slot carries it
+    unreached = [p for p in encoders if not grads[p].any()]
+    assert unreached == ([p for p in encoders if p.startswith("image.")]
+                         if fusion == "point_rgb" else [])
+    assert not multiprocessing.active_children()
+
+
+def test_worker_gradients_do_not_depend_on_timing(tiny, monkeypatch):
+    """A parent slow to add gradients still adds each worker frame's own:
+    the worker writes a slot again only once its last gradients are added."""
+    cfg, data = tiny
+    model, store = build_model(cfg.model_config(), 7)
+    batch = overlapping_batch(data)
+    args = (model, store, data, batch, LossWeights(), cfg.bone_samples)
+    assert len({id(fs) for s in batch for fs in s.frames}) // 2 >= 3  # a slot is reused
+    want = batch_gradients(*args)
+    add = train._add
+    monkeypatch.setattr(train, "_add",
+                        lambda grads, parts: time.sleep(0.05) or add(grads, parts))
+    worker = FrameWorker(model, store, data)
+    try:
+        got = batch_gradients(*args, worker)
+    finally:
+        worker.close()
+    assert_byte_equal(got, want)
+
+
+@pytest.mark.parametrize("start", ["fork", "failed fork"])
+def test_training_with_a_worker_writes_the_same_checkpoint(tiny, tmp_path, monkeypatch,
+                                                          caplog, start):
+    """With a worker, or in one process when the fork fails."""
+    cfg, data = tiny
+
+    def checkpoint(name):
+        model, store = build_model(cfg.model_config(), cfg.seed)
+        Trainer(cfg, data, model, store).train(tmp_path / name, epochs=1)
+        return (tmp_path / name / "epoch_000.fpck").read_bytes()
+
+    monkeypatch.setattr(train, "_second_core", lambda: False)
+    serial = checkpoint("serial")
+    monkeypatch.setattr(train, "_second_core", lambda: True)
+    if start == "failed fork":
+        def no_fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        monkeypatch.setattr(os, "fork", no_fork)
+    received, pooled = [], FrameWorker.pooled
+    monkeypatch.setattr(FrameWorker, "pooled",
+                        lambda self: received.append(1) or pooled(self))
+    with caplog.at_level(logging.WARNING, logger="fusionpose.train"):
+        assert checkpoint(start) == serial
+    assert bool(received) == (start == "fork")
+    assert ("cannot fork a worker" in caplog.text) == (start == "failed fork")
+    assert not multiprocessing.active_children()
+
+
+def test_no_worker_outlives_a_training_that_raises_mid_step(tiny, monkeypatch, two_cores):
+    cfg, data = tiny
+    parent, calls = os.getpid(), []
+    frame_gradients = train._frame_gradients
+
+    def failing(*args):
+        if os.getpid() == parent:  # the worker runs on
+            calls.append(1)
+            if len(calls) == 5:
+                raise RuntimeError("phase 3 failed")
+        return frame_gradients(*args)
+
+    monkeypatch.setattr(train, "_frame_gradients", failing)
+    workers, fork_worker = [], train.fork_worker
+    monkeypatch.setattr(train, "fork_worker",
+                        lambda *args: workers.append(fork_worker(*args)) or workers[-1])
+    trainer = Trainer(cfg, data, *build_model(cfg.model_config(), 2))
+    with pytest.raises(RuntimeError, match="phase 3 failed"):
+        trainer.train(checkpoint_dir=None, epochs=1)
+    assert not multiprocessing.active_children()
+    assert workers[0].process.exitcode == 0  # it ended at the closed pipe, unkilled
+
+
+def test_a_ground_truth_read_in_the_worker_faults_in_the_parent(tiny, monkeypatch,
+                                                               two_cores):
+    cfg, data = tiny
+    parent, encode = os.getpid(), FusionPoseModel.encode
+
+    def peeking(self, frame):
+        if os.getpid() != parent:
+            data.samples[0].frames[0].gt_pose3d
+        return encode(self, frame)
+
+    monkeypatch.setattr(FusionPoseModel, "encode", peeking)
+    trainer = Trainer(cfg, data, *build_model(cfg.model_config(), 2))
+    with pytest.raises(ContractError, match="ground-truth 3D pose"):
+        trainer.train(checkpoint_dir=None, epochs=1)
+    assert trainer.state.step == 0
+    assert not multiprocessing.active_children()
