@@ -27,6 +27,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
+import gc
 import itertools
 import logging
 import mmap
@@ -248,9 +249,14 @@ class FrameWorker:
         self._conn, child = multiprocessing.Pipe()
         self.process = multiprocessing.get_context("fork").Process(
             target=self._serve, args=(child, model, store, dataset), daemon=True)
+        # until ``close``, the objects of both processes at the fork are
+        # left out of their collections, whose writes to object headers
+        # would copy the pages the two share
+        gc.freeze()
         try:
             self.process.start()
         except OSError:
+            gc.unfreeze()
             self._conn.close()
             raise
         finally:
@@ -321,6 +327,8 @@ class FrameWorker:
         try:
             self._conn.send(message)
         except OSError as exc:
+            if self._conn.poll():  # the worker failed and said why before it ended
+                self._recv()
             raise self._died() from exc
 
     def _recv(self):
@@ -345,6 +353,7 @@ class FrameWorker:
         if self.process.is_alive():
             self.process.kill()
             self.process.join()
+        gc.unfreeze()
 
 
 def _second_core() -> bool:

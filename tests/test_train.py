@@ -3,6 +3,7 @@
 import dataclasses
 import errno
 import functools
+import gc
 import itertools
 import logging
 import multiprocessing
@@ -444,6 +445,55 @@ def test_worker_gradients_do_not_depend_on_timing(tiny, monkeypatch):
     finally:
         worker.close()
     assert_byte_equal(got, want)
+
+
+def test_a_worker_error_raised_while_the_parent_hands_back_a_slot_is_its_own(
+        tiny, monkeypatch):
+    """The worker fails on its second frame and ends; the parent, slow to
+    hand back the first frame's slot, finds the pipe closed on sending and
+    raises the worker's exception, not a report that the worker stopped."""
+    cfg, data = tiny
+    model, store = build_model(cfg.model_config(), 7)
+    args = (model, store, data, overlapping_batch(data), LossWeights(), cfg.bone_samples)
+    parent, calls = os.getpid(), []
+    frame_gradients, release = train._frame_gradients, FrameWorker.release
+
+    def failing(*args):
+        if os.getpid() != parent:
+            calls.append(1)
+            if len(calls) == 2:
+                raise ValueError("worker frame 2 failed")
+        return frame_gradients(*args)
+
+    monkeypatch.setattr(train, "_frame_gradients", failing)
+    monkeypatch.setattr(FrameWorker, "release",
+                        lambda self: time.sleep(0.3) or release(self))
+    worker = FrameWorker(model, store, data)
+    try:
+        with pytest.raises(ValueError, match="worker frame 2 failed"):
+            batch_gradients(*args, worker)
+    finally:
+        worker.close()
+    assert worker.process.exitcode == 0
+
+
+def test_objects_at_the_fork_stay_out_of_collections_until_close(tiny, monkeypatch):
+    cfg, data = tiny
+    model, store = build_model(cfg.model_config(), 7)
+    worker = FrameWorker(model, store, data)
+    try:
+        assert gc.get_freeze_count() > 0
+    finally:
+        worker.close()
+    assert gc.get_freeze_count() == 0
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    with pytest.raises(OSError):
+        FrameWorker(model, store, data)
+    assert gc.get_freeze_count() == 0
 
 
 @pytest.mark.parametrize("start", ["fork", "failed fork"])
