@@ -105,7 +105,8 @@ class ParameterStore:
 class Adam:
     """Adaptive moment estimation over a ParameterStore.
 
-    Updates run in lexicographic path order; moments live in
+    Updates run in lexicographic path order, each in place in the
+    parameter's and the moments' own arrays; moments live in
     ``store.state`` so checkpoints capture them.
     """
 
@@ -124,7 +125,7 @@ class Adam:
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         state = self.store.state
-        state["__opt__.t"] = state["__opt__.t"] + 1.0
+        state["__opt__.t"] += 1.0
         t = float(state["__opt__.t"])
         corr1 = 1.0 - self.beta1 ** t
         corr2 = 1.0 - self.beta2 ** t
@@ -132,9 +133,7 @@ class Adam:
             g = grads[path]
             m = state[f"__opt__.m.{path}"]
             v = state[f"__opt__.v.{path}"]
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * (g * g)
-            state[f"__opt__.m.{path}"] = m
-            state[f"__opt__.v.{path}"] = v
+            np.add(self.beta1 * m, (1.0 - self.beta1) * g, out=m)
+            np.add(self.beta2 * v, (1.0 - self.beta2) * (g * g), out=v)
             update = (m / corr1) / (np.sqrt(v / corr2) + self.eps)
-            tensor.data = tensor.data - self.step_size * update
+            np.subtract(tensor.data, self.step_size * update, out=tensor.data)

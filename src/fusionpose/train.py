@@ -172,7 +172,7 @@ def batch_gradients(model: FusionPoseModel, store: ParameterStore,
     frames = {id(f): f for window in inputs for f in window}
     keys = list(frames)
     if worker:
-        worker.start_step(store, batch)
+        worker.start_step(batch)
     pooled = {key: model.encode(frames[key]) for key in (keys[::2] if worker else keys)}
     if worker:
         pooled.update(zip(keys[1::2], worker.pooled()))
@@ -205,16 +205,13 @@ def batch_gradients(model: FusionPoseModel, store: ParameterStore,
 
 # -- the frame worker ------------------------------------------------------------
 
-def _shared_arrays(store: ParameterStore) -> dict[str, np.ndarray]:
-    """A zeroed array per parameter, each a view of one anonymous shared
-    mapping that a forked child shares, on a 64-byte boundary."""
-    starts, size = [], 0
-    for _, tensor in store.items():
-        starts.append(size)
-        size += -(-tensor.data.size // 8) * 8
-    flat = np.frombuffer(mmap.mmap(-1, 8 * size), dtype=np.float64)
-    return {path: flat[start:start + tensor.data.size].reshape(tensor.data.shape)
-            for start, (path, tensor) in zip(starts, store.items())}
+def _shared_arrays(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """A zeroed array shaped like each of ``arrays``, each a view of one
+    anonymous shared mapping that a forked child shares, on a 64-byte boundary."""
+    sizes = [-(-arr.size // 8) * 8 for arr in arrays.values()]
+    flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=np.float64)
+    return {key: flat[start:start + arr.size].reshape(arr.shape) for start, (key, arr)
+            in zip(itertools.accumulate(sizes, initial=0), arrays.items())}
 
 
 class FrameWorker:
@@ -222,9 +219,9 @@ class FrameWorker:
 
     It is forked, not spawned, so that it holds the dataset and the model
     with nothing pickled, and the same BLAS at the same thread count, so
-    that its frames get the bits they would get in the parent. Its
-    parameters are views of a shared buffer, which the parent fills
-    before each step. Each step is one exchange on a pipe:
+    that its frames get the bits they would get in the parent. It reads
+    the parent's own parameters, which move into a shared mapping with
+    Adam's state just before the fork. Each step is one exchange on a pipe:
 
     - the parent sends the batch as positions in ``dataset.samples``; the
       worker encodes its frames with no tape and sends their pooled rows
@@ -242,8 +239,17 @@ class FrameWorker:
 
     def __init__(self, model: FusionPoseModel, store: ParameterStore,
                  dataset: InstanceDataset):
-        self.params = _shared_arrays(store)
-        self.slots = (_shared_arrays(store), _shared_arrays(store))
+        # the parameters, which the worker reads, and Adam's moments move into one
+        # shared mapping: Adam writes both in place, and a write there copies no page
+        arrays = {**{path: tensor.data for path, tensor in store.items()}, **store.state}
+        shared = _shared_arrays(arrays)
+        for key, arr in arrays.items():
+            shared[key][...] = arr
+        store.state = {key: shared.pop(key) for key in store.state}
+        for path, tensor in store.items():
+            tensor.data = shared[path]
+        self.slots = (_shared_arrays(shared), _shared_arrays(shared))
+        del arrays, arr  # else the forked worker would keep the old arrays' pages
         self._position = {id(s): i for i, s in enumerate(dataset.samples)}
         self._added = self._pending = 0  # this step's worker frames
         self._conn, child = multiprocessing.Pipe()
@@ -270,8 +276,6 @@ class FrameWorker:
     def _serve(self, conn, model: FusionPoseModel, store: ParameterStore,
                dataset: InstanceDataset) -> None:
         self._conn.close()  # else the parent's close would not end the reads
-        for path, tensor in store.items():
-            tensor.data = self.params[path]
         try:
             while True:
                 batch = [dataset.samples[i] for i in conn.recv()]
@@ -298,9 +302,7 @@ class FrameWorker:
 
     # -- in the parent
 
-    def start_step(self, store: ParameterStore, batch: list[InstanceSample]) -> None:
-        for path, tensor in store.items():
-            np.copyto(self.params[path], tensor.data)
+    def start_step(self, batch: list[InstanceSample]) -> None:
         self._send([self._position[id(s)] for s in batch])
 
     def pooled(self) -> list[ad.Tensor]:

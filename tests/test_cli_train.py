@@ -219,30 +219,21 @@ def test_truncated_checkpoint_exits_3(workdir, tmp_path, capsys):
     assert "truncated" in capsys.readouterr().err
 
 
-def test_resume_reproduces_uninterrupted_trajectory(workdir, tmp_path):
-    data_dir = workdir / "data"
-
-    def make(tree: Path, epochs: int) -> Path:
-        tree.mkdir(parents=True, exist_ok=True)
-        cfgfile = tree / "run.cfg"
-        cfgfile.write_text(TINY_CFG
-                           .replace("paths.dataset_dir = data",
-                                    f"paths.dataset_dir = {data_dir}")
-                           .replace("optim.epochs = 2", f"optim.epochs = {epochs}"))
-        return cfgfile
-
-    straight = make(tmp_path / "straight", 4)
-    assert main(["train", "--config", str(straight)]) == 0
-    log_a = (tmp_path / "straight" / "reports" / "loss_log.csv").read_text()
-
-    resumed = make(tmp_path / "resumed", 2)
-    assert main(["train", "--config", str(resumed)]) == 0
-    resumed4 = make(tmp_path / "resumed", 4)
-    assert main(["train", "--config", str(resumed4)]) == 0
-    log_b = (tmp_path / "resumed" / "reports" / "loss_log.csv").read_text()
-
-    # epochs 0..1 are kept from the first run, 2..3 match the straight run
-    assert log_a == log_b
+def test_resume_reproduces_uninterrupted_trajectory(workdir, tmp_path, monkeypatch):
+    """In one process and with the worker, which is forked after the
+    checkpoint is loaded and Adam is rebuilt on it."""
+    for worker in (False, True):
+        monkeypatch.setattr(train, "_second_core", lambda on=worker: on)
+        straight, resumed = tmp_path / f"straight_{worker}", tmp_path / f"resumed_{worker}"
+        assert main(["train", "--config", str(_run_cfg(workdir, straight, 4))]) == 0
+        assert main(["train", "--config", str(_run_cfg(workdir, resumed, 2))]) == 0
+        assert main(["train", "--config", str(_run_cfg(workdir, resumed, 4))]) == 0
+        # epochs 0..1 are kept from the first run, 2..3 match the straight run
+        log = Path("reports") / "loss_log.csv"
+        assert (straight / log).read_text() == (resumed / log).read_text()
+        last = Path("ckpt") / "epoch_003.fpck"
+        assert (straight / last).read_bytes() == (resumed / last).read_bytes()
+    assert not multiprocessing.active_children()
 
 
 def _run_cfg(workdir, tree: Path, epochs: int) -> Path:

@@ -216,3 +216,32 @@ def test_adam_deterministic_and_descends():
     assert losses1 == losses2
     np.testing.assert_array_equal(w1, w2)
     assert losses1[-1] < 0.05 * losses1[0]
+
+
+def test_adam_updates_in_place_with_the_bits_of_the_out_of_place_formula():
+    _, store = build_model(CFG, seed=1)
+    opt = Adam(store, step_size=0.01)
+    arrays = {path: t.data for path, t in store.items()}
+    state = dict(store.state)
+    want = {path: a.copy() for path, a in arrays.items()}
+    want_m = {path: np.zeros_like(a) for path, a in arrays.items()}
+    want_v = {path: np.zeros_like(a) for path, a in arrays.items()}
+    b1, b2 = opt.beta1, opt.beta2
+    rng = np.random.default_rng(3)
+    for t in (1.0, 2.0, 3.0):
+        grads = {path: rng.standard_normal(a.shape) for path, a in arrays.items()}
+        opt.step(grads)
+        for path, g in grads.items():  # the reference, out of place
+            want_m[path] = b1 * want_m[path] + (1.0 - b1) * g
+            want_v[path] = b2 * want_v[path] + (1.0 - b2) * (g * g)
+            update = ((want_m[path] / (1.0 - b1 ** t))
+                      / (np.sqrt(want_v[path] / (1.0 - b2 ** t)) + opt.eps))
+            want[path] = want[path] - opt.step_size * update
+        assert all(store[path].data is a for path, a in arrays.items())
+        assert store.state.keys() == state.keys()
+        assert all(store.state[key] is a for key, a in state.items())
+        assert float(store.state["__opt__.t"]) == t
+        for path in arrays:
+            assert store[path].data.tobytes() == want[path].tobytes(), path
+            assert store.state[f"__opt__.m.{path}"].tobytes() == want_m[path].tobytes()
+            assert store.state[f"__opt__.v.{path}"].tobytes() == want_v[path].tobytes()

@@ -405,7 +405,9 @@ def assert_byte_equal(got, want):
 @pytest.mark.parametrize("fusion", ["ipa", "point_rgb"])
 def test_a_worker_leaves_the_gradients_byte_equal(tiny, fusion):
     """Over two steps with other parameters in between, so the worker reads
-    each step's parameters and reuses its slots."""
+    each step's parameters and reuses its slots. The parameters change in
+    place, as Adam changes them: the worker reads the parent's arrays, so
+    an array put in a parameter's place after the fork is not seen."""
     cfg, data = tiny
     model, store = build_model(dataclasses.replace(cfg.model_config(), fusion=fusion), 7)
     args = (model, store, data, overlapping_batch(data), LossWeights(), cfg.bone_samples)
@@ -415,7 +417,7 @@ def test_a_worker_leaves_the_gradients_byte_equal(tiny, fusion):
             want = batch_gradients(*args)
             assert_byte_equal(batch_gradients(*args, worker), want)
             for _, tensor in store.items():
-                tensor.data = tensor.data * 0.9 + 0.01
+                tensor.data[...] = tensor.data * 0.9 + 0.01
     finally:
         worker.close()
     grads = want[0]

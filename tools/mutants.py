@@ -112,10 +112,10 @@ MUTANTS = (
                 "so the two parts never add into one sum"),
     Mutant("one slot for every worker frame", TRAIN,
            "        return self.slots[n % 2]\n", "        return self.slots[0]\n"),
-    Mutant("parameters not copied before a step", TRAIN,
-           """        for path, tensor in store.items():
-            np.copyto(self.params[path], tensor.data)
-""", ""),
+    Mutant("Adam rebinds a parameter instead of updating it in place",
+           "src/fusionpose/params.py",
+           "np.subtract(tensor.data, self.step_size * update, out=tensor.data)",
+           "tensor.data = tensor.data - self.step_size * update"),
     Mutant("leaf gradients sent in reverse", TRAIN,
            "worker.backprop([g.get(key) for key in keys[1::2]])",
            "worker.backprop([g.get(key) for key in keys[1::2]][::-1])"),
@@ -123,6 +123,31 @@ MUTANTS = (
            """            if self._conn.poll():  # the worker failed and said why before it ended
                 self._recv()
 """, ""),
+    Mutant("a read that ends exactly at the end of the file is refused",
+           "src/fusionpose/binfile.py",
+           "if self.pos + size > len(self.blob):", "if self.pos + size >= len(self.blob):"),
+    Mutant("consistency summed over frames, not averaged", "src/fusionpose/losses.py",
+           "    return ad.scale(total, 1.0 / len(features))\n", "    return total\n"),
+    Mutant("attention scaled by 1/d, not 1/sqrt(d)", "src/fusionpose/model.py",
+           "self.scale = 1.0 / np.sqrt(d)", "self.scale = 1.0 / d"),
+    Mutant("a negative second moment loads", TRAIN,
+           """        if key.startswith("__opt__.v.") and (arr < 0).any():
+            raise CheckpointMismatchError(f"{path}: {key} holds negative values")
+""", ""),
+    Mutant("a run's first cut at offset 1 when the draw is 0", TRAIN,
+           "int(rng.integers(bs)) or bs,", "int(rng.integers(bs)) or 1,"),
+    Mutant("a pair at exactly the IoU threshold refused", "src/fusionpose/association.py",
+           "if iou[i, j] >= iou_threshold]", "if iou[i, j] > iou_threshold]",
+           equivalent="an IoU of two boxes from different sensors is never exactly "
+                      "the configured threshold"),
+    Mutant("a cloud of exactly the point budget subsampled", "src/fusionpose/dataio.py",
+           "len(cloud) > point_budget:", "len(cloud) >= point_budget:",
+           equivalent="choosing all of a cloud's points without replacement and "
+                      "sorting them gives the cloud back"),
+    Mutant("a written file not flushed to disk", "src/fusionpose/binfile.py",
+           "            os.fsync(fh.fileno())\n", "",
+           equivalent="the bytes a process reads back are the same whether or not "
+                      "they reached the disk; only a crash of the machine tells"),
 )
 
 
