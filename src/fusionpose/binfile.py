@@ -48,13 +48,15 @@ class Reader:
         return arr.reshape(shape).copy()
 
 
-def write_atomic(path: str | Path, data: bytes | bytearray) -> None:
+def write_atomic(path: str | Path, chunks: list) -> None:
+    """Write the bytes-like ``chunks`` one after another as the file at ``path``."""
     path = Path(path)
     # The temporary name must not match the ``epoch_*.fpck`` glob.
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

@@ -73,14 +73,14 @@ class ParameterStore:
         ]
         for key in sorted(extra or {}):
             entries.append((key, np.asarray(extra[key], dtype=np.float64)))
-        out = bytearray(_MAGIC)
-        out += struct.pack("<II", _VERSION, len(entries))
+        chunks = [_MAGIC + struct.pack("<II", _VERSION, len(entries))]
         for name, arr in entries:
             raw = name.encode("utf-8")
-            out += struct.pack(f"<H{len(raw)}sB{arr.ndim}I", len(raw), raw,
+            head = struct.pack(f"<H{len(raw)}sB{arr.ndim}I", len(raw), raw,
                                arr.ndim, *arr.shape)
-            out += arr.astype("<f8").tobytes()
-        write_atomic(path, out)
+            # the values as a byte view of the array itself, not a copy
+            chunks += [head, np.ascontiguousarray(arr, dtype="<f8").reshape(-1).view(np.uint8)]
+        write_atomic(path, chunks)
 
     @staticmethod
     def read_entries(path: str | Path) -> dict[str, np.ndarray]:

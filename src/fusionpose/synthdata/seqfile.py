@@ -123,7 +123,7 @@ def write_sequence(path: str | Path, data: SequenceData) -> None:
                                    *person.det3d.size, person.det3d.yaw)
             else:
                 out += struct.pack("<B", 0)
-    write_atomic(path, out)
+    write_atomic(path, [out])
 
 
 def read_sequence(path: str | Path) -> SequenceData:
@@ -167,7 +167,7 @@ def write_manifest(dataset_dir: str | Path, files_by_split: dict[str, list[str]]
         for name in files_by_split[split]:
             lines.append(f"{split} {name}")
     path = Path(dataset_dir) / "manifest.txt"
-    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    write_atomic(path, [("\n".join(lines) + "\n").encode("utf-8")])
     return path
 
 

@@ -17,9 +17,10 @@ and losses.
 On a machine that lets this process run on two or more CPUs,
 ``Trainer.train`` forks one ``FrameWorker``, which holds the same
 dataset and model, and hands it every second distinct frame of each
-batch for the per-frame encoder work. The parent still adds every
-gradient itself, in the order one process would, so checkpoints and
-reports are byte-identical with and without the worker.
+batch for the per-frame encoder work. The two processes add their
+frames' gradients into one shared sum in turn, in the order one process
+would, so checkpoints and reports are byte-identical with and without
+the worker.
 """
 
 from __future__ import annotations
@@ -161,11 +162,12 @@ def batch_gradients(model: FusionPoseModel, store: ParameterStore,
     at a time, in the order the frames first appear in the batch. With a
     ``worker``, the frames at odd positions in that order go through
     phases 1 and 3 in the worker process, while this process runs the
-    others; their phase-3 gradients come back through shared memory and
-    are added at their own positions in the same order. A frame's
-    gradients come from the same code, inputs, parameters and BLAS in
-    either process, and floating-point sums depend only on their order,
-    so the result is bit-identical to the call without a worker.
+    others. The sum is then the worker's shared one, valid until the next
+    call: each process adds its own frames' phase-3 gradients into it,
+    and the two take turns, so every frame is added at its own position.
+    A frame's gradients come from the same code, inputs, parameters and
+    BLAS in either process, and floating-point sums depend only on their
+    order, so the result is bit-identical to the call without a worker.
     """
     inputs = [dataset.model_frames(sample) for sample in batch]
     # windows that share a crop share its input object
@@ -186,20 +188,28 @@ def batch_gradients(model: FusionPoseModel, store: ParameterStore,
     g = ad.backward(tape, mean, {**dict(store.items()), **pooled})
     # a tape lives as long as its outputs: free each before the next runs
     del tape, mean
-    # each parameter's sum starts as zeros of its own, so adds go in
-    # place; a tape may reach none of it (e.g. image.* under point_rgb)
-    grads = {path: np.zeros_like(tensor.data) for path, tensor in store.items()}
+    # each parameter's sum starts as zeros, so adds go in place; a tape
+    # may reach none of it (e.g. image.* under point_rgb)
+    if worker:
+        grads = worker.grads
+        for arr in grads.values():
+            arr.fill(0.0)
+    else:
+        grads = {path: np.zeros_like(tensor.data) for path, tensor in store.items()}
     _add(grads, g)
     if worker:
         worker.backprop([g.get(key) for key in keys[1::2]])
-    for i, key in enumerate(keys):
-        if key not in g:
-            continue  # the loss does not depend on this frame
-        if worker and i % 2:
-            _add(grads, worker.gradients())
-            worker.release()
-        else:
-            _add(grads, _frame_gradients(model, store, frames[key], g[key]))
+    for i in range(0, len(keys), 2 if worker else 1):
+        key = keys[i]  # the loss may not depend on this frame
+        # before the wait, so that the two processes compute at the same time
+        part = _frame_gradients(model, store, frames[key], g[key]) if key in g else {}
+        if worker and i:
+            worker.wait()  # the worker has added frame i - 1
+        _add(grads, part)
+        if worker and i + 1 < len(keys):
+            worker.turn()  # frame i + 1 may go in
+    if worker and len(keys) % 2 == 0:
+        worker.wait()  # the last frame is the worker's
     return grads, means
 
 
@@ -221,16 +231,16 @@ class FrameWorker:
     with nothing pickled, and the same BLAS at the same thread count, so
     that its frames get the bits they would get in the parent. It reads
     the parent's own parameters, which move into a shared mapping with
-    Adam's state just before the fork. Each step is one exchange on a pipe:
+    Adam's state just before the fork, and it holds the step's gradient
+    sum, ``grads``, in another. Each step is one exchange on a pipe:
 
     - the parent sends the batch as positions in ``dataset.samples``; the
       worker encodes its frames with no tape and sends their pooled rows
       (phase 1);
     - the parent sends its frames' leaf gradients (None where the loss
       does not reach the frame); the worker runs phase 3 on each frame
-      in turn, writes the gradients of its n-th into shared slot n % 2,
-      and sends the paths they reach. Before it reuses a slot, it waits
-      for the parent's note that the slot's last gradients are added.
+      in turn, and, for each, waits for the parent's turn (the frame
+      before it is added), adds its gradients into ``grads`` and says so.
 
     Every wait of the worker is a pipe read, so closing the parent's end
     stops it. An exception in the worker is raised again in the parent;
@@ -248,10 +258,9 @@ class FrameWorker:
         store.state = {key: shared.pop(key) for key in store.state}
         for path, tensor in store.items():
             tensor.data = shared[path]
-        self.slots = (_shared_arrays(shared), _shared_arrays(shared))
+        self.grads = _shared_arrays(shared)
         del arrays, arr  # else the forked worker would keep the old arrays' pages
         self._position = {id(s): i for i, s in enumerate(dataset.samples)}
-        self._added = self._pending = 0  # this step's worker frames
         self._conn, child = multiprocessing.Pipe()
         self.process = multiprocessing.get_context("fork").Process(
             target=self._serve, args=(child, model, store, dataset), daemon=True)
@@ -268,9 +277,6 @@ class FrameWorker:
         finally:
             child.close()
 
-    def _slot(self, n: int) -> dict[str, np.ndarray]:
-        return self.slots[n % 2]
-
     # -- in the worker
 
     def _serve(self, conn, model: FusionPoseModel, store: ParameterStore,
@@ -282,15 +288,11 @@ class FrameWorker:
                 frames = {id(f): f for s in batch for f in dataset.model_frames(s)}
                 mine = list(frames.values())[1::2]
                 conn.send([model.encode(frame).data for frame in mine])
-                reached = [(frame, leaf) for frame, leaf in zip(mine, conn.recv())
-                           if leaf is not None]
-                for n, (frame, leaf) in enumerate(reached):
-                    if n >= 2:
-                        conn.recv()  # slot n % 2 is added
-                    grads = _frame_gradients(model, store, frame, leaf)
-                    for path, grad in grads.items():
-                        self._slot(n)[path][...] = grad
-                    conn.send(list(grads))
+                for frame, leaf in zip(mine, conn.recv()):
+                    part = {} if leaf is None else _frame_gradients(model, store, frame, leaf)
+                    conn.recv()  # the parent's turn: the frame before is added
+                    _add(self.grads, part)
+                    conn.send(None)
         except EOFError:
             return  # the parent closed its end
         except Exception as exc:  # raised again in the parent
@@ -310,20 +312,15 @@ class FrameWorker:
         return [ad.Tensor(row) for row in self._recv()]
 
     def backprop(self, leaf_grads: list[np.ndarray | None]) -> None:
-        self._added = 0
-        self._pending = sum(grad is not None for grad in leaf_grads)
         self._send(leaf_grads)
 
-    def gradients(self) -> dict[str, np.ndarray]:
-        """The next worker frame's parameter gradients, as views of its slot."""
-        slot = self._slot(self._added)
-        return {path: slot[path] for path in self._recv()}
+    def turn(self) -> None:
+        """Let the worker add its next frame."""
+        self._send(None)
 
-    def release(self) -> None:
-        """Hand back the slot just added, if a later frame of the step needs it."""
-        self._added += 1
-        if self._added + 1 < self._pending:
-            self._send(None)
+    def wait(self) -> None:
+        """Wait until the worker has added its frame."""
+        self._recv()
 
     def _send(self, message) -> None:
         try:

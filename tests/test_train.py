@@ -405,9 +405,9 @@ def assert_byte_equal(got, want):
 @pytest.mark.parametrize("fusion", ["ipa", "point_rgb"])
 def test_a_worker_leaves_the_gradients_byte_equal(tiny, fusion):
     """Over two steps with other parameters in between, so the worker reads
-    each step's parameters and reuses its slots. The parameters change in
-    place, as Adam changes them: the worker reads the parent's arrays, so
-    an array put in a parameter's place after the fork is not seen."""
+    each step's parameters and the shared sum starts again. The parameters
+    change in place, as Adam changes them: the worker reads the parent's
+    arrays, so an array put in a parameter's place after the fork is not seen."""
     cfg, data = tiny
     model, store = build_model(dataclasses.replace(cfg.model_config(), fusion=fusion), 7)
     args = (model, store, data, overlapping_batch(data), LossWeights(), cfg.bone_samples)
@@ -422,25 +422,33 @@ def test_a_worker_leaves_the_gradients_byte_equal(tiny, fusion):
         worker.close()
     grads = want[0]
     encoders = [p for p in store.paths() if p.startswith(("point.", "image.", "fuse"))]
-    # under point_rgb no frame reaches image.*, so no slot carries it
+    # under point_rgb no frame reaches image.*, so neither process adds into it
     unreached = [p for p in encoders if not grads[p].any()]
     assert unreached == ([p for p in encoders if p.startswith("image.")]
                          if fusion == "point_rgb" else [])
     assert not multiprocessing.active_children()
 
 
-def test_worker_gradients_do_not_depend_on_timing(tiny, monkeypatch):
-    """A parent slow to add gradients still adds each worker frame's own:
-    the worker writes a slot again only once its last gradients are added."""
+@pytest.mark.parametrize("slow", ["parent slow to add", "worker slow to compute"])
+def test_worker_gradients_do_not_depend_on_timing(tiny, monkeypatch, slow):
+    """Whichever process lags, each adds its frames only in its turn: the
+    worker after the parent's frame before, the parent after the worker's."""
     cfg, data = tiny
     model, store = build_model(cfg.model_config(), 7)
     batch = overlapping_batch(data)
     args = (model, store, data, batch, LossWeights(), cfg.bone_samples)
-    assert len({id(fs) for s in batch for fs in s.frames}) // 2 >= 3  # a slot is reused
+    assert len({id(fs) for s in batch for fs in s.frames}) // 2 >= 3  # turns go both ways
     want = batch_gradients(*args)
-    add = train._add
-    monkeypatch.setattr(train, "_add",
-                        lambda grads, parts: time.sleep(0.05) or add(grads, parts))
+    parent = os.getpid()
+    name = "_add" if slow == "parent slow to add" else "_frame_gradients"
+    original = getattr(train, name)
+
+    def slowed(*args):
+        if (os.getpid() == parent) == (name == "_add"):  # the parent's adds, the worker's frames
+            time.sleep(0.05)
+        return original(*args)
+
+    monkeypatch.setattr(train, name, slowed)
     worker = FrameWorker(model, store, data)
     try:
         got = batch_gradients(*args, worker)
@@ -451,32 +459,44 @@ def test_worker_gradients_do_not_depend_on_timing(tiny, monkeypatch):
 
 def test_a_worker_error_raised_while_the_parent_hands_back_a_slot_is_its_own(
         tiny, monkeypatch):
-    """The worker fails on its second frame and ends; the parent, slow to
-    hand back the first frame's slot, finds the pipe closed on sending and
-    raises the worker's exception, not a report that the worker stopped."""
+    """The worker fails on its first frame and ends; the parent, slow to
+    hand it the turn to add that frame, finds the pipe closed on sending
+    and raises the worker's exception, not a report that the worker stopped."""
     cfg, data = tiny
     model, store = build_model(cfg.model_config(), 7)
     args = (model, store, data, overlapping_batch(data), LossWeights(), cfg.bone_samples)
-    parent, calls = os.getpid(), []
-    frame_gradients, release = train._frame_gradients, FrameWorker.release
+    parent, frame_gradients, turn = os.getpid(), train._frame_gradients, FrameWorker.turn
 
     def failing(*args):
         if os.getpid() != parent:
-            calls.append(1)
-            if len(calls) == 2:
-                raise ValueError("worker frame 2 failed")
+            raise ValueError("worker frame 1 failed")
         return frame_gradients(*args)
 
     monkeypatch.setattr(train, "_frame_gradients", failing)
-    monkeypatch.setattr(FrameWorker, "release",
-                        lambda self: time.sleep(0.3) or release(self))
+    monkeypatch.setattr(FrameWorker, "turn", lambda self: time.sleep(0.3) or turn(self))
     worker = FrameWorker(model, store, data)
     try:
-        with pytest.raises(ValueError, match="worker frame 2 failed"):
+        with pytest.raises(ValueError, match="worker frame 1 failed"):
             batch_gradients(*args, worker)
     finally:
         worker.close()
     assert worker.process.exitcode == 0
+
+
+def test_shared_arrays_are_zeroed_aligned_views_that_do_not_overlap():
+    arrays = {"w": np.ones((3, 5)), "t": np.ones(()), "b": np.ones(7), "v": np.ones((2, 8))}
+    shared = train._shared_arrays(arrays)
+    assert list(shared) == list(arrays)
+    spans = []
+    for key, arr in arrays.items():
+        view = shared[key]
+        assert view.shape == arr.shape and view.dtype == np.float64
+        assert not view.any()
+        start = view.__array_interface__["data"][0]
+        assert start % 64 == 0, key
+        spans.append((start, start + view.nbytes))
+    spans.sort()
+    assert all(end <= after for (_, end), (after, _) in zip(spans, spans[1:]))
 
 
 def test_objects_at_the_fork_stay_out_of_collections_until_close(tiny, monkeypatch):

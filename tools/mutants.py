@@ -51,67 +51,61 @@ class Mutant(NamedTuple):
 TRAIN = "src/fusionpose/train.py"
 
 MUTANTS = (
-    Mutant("worker frame added after the next parent frame", TRAIN,
-           """    for i, key in enumerate(keys):
-        if key not in g:
-            continue  # the loss does not depend on this frame
-        if worker and i % 2:
-            _add(grads, worker.gradients())
-            worker.release()
-        else:
-            _add(grads, _frame_gradients(model, store, frames[key], g[key]))
-""", """    late = None
-    for i, key in enumerate(keys):
-        if key not in g:
-            continue  # the loss does not depend on this frame
-        if worker and i % 2:
-            late = worker.gradients()
-        else:
-            _add(grads, _frame_gradients(model, store, frames[key], g[key]))
-            if late is not None:
-                _add(grads, late)
-                worker.release()
-                late = None
-    if late is not None:
-        _add(grads, late)
-        worker.release()
+    Mutant("the worker adds before its turn", TRAIN,
+           """                    conn.recv()  # the parent's turn: the frame before is added
+                    _add(self.grads, part)
+""", """                    _add(self.grads, part)
+                    conn.recv()  # the parent's turn: the frame before is added
 """),
-    Mutant("slot released before it is added", TRAIN,
-           """            _add(grads, worker.gradients())
-            worker.release()
-""", """            part = worker.gradients()
-            worker.release()
-            _add(grads, part)
+    Mutant("the parent adds before the worker's frame is in", TRAIN,
+           """        if worker and i:
+            worker.wait()  # the worker has added frame i - 1
+        _add(grads, part)
+""", """        _add(grads, part)
+        if worker and i:
+            worker.wait()  # the worker has added frame i - 1
 """),
+    Mutant("no wait for the worker's last frame", TRAIN,
+           """    if worker and len(keys) % 2 == 0:
+        worker.wait()  # the last frame is the worker's
+""", ""),
+    Mutant("the sum not zeroed between steps", TRAIN,
+           """        for arr in grads.values():
+            arr.fill(0.0)
+""", ""),
     Mutant("phase-2 gradients added last", TRAIN,
            """    _add(grads, g)
     if worker:
         worker.backprop([g.get(key) for key in keys[1::2]])
-    for i, key in enumerate(keys):
-        if key not in g:
-            continue  # the loss does not depend on this frame
-        if worker and i % 2:
-            _add(grads, worker.gradients())
-            worker.release()
-        else:
-            _add(grads, _frame_gradients(model, store, frames[key], g[key]))
+    for i in range(0, len(keys), 2 if worker else 1):
+        key = keys[i]  # the loss may not depend on this frame
+        # before the wait, so that the two processes compute at the same time
+        part = _frame_gradients(model, store, frames[key], g[key]) if key in g else {}
+        if worker and i:
+            worker.wait()  # the worker has added frame i - 1
+        _add(grads, part)
+        if worker and i + 1 < len(keys):
+            worker.turn()  # frame i + 1 may go in
+    if worker and len(keys) % 2 == 0:
+        worker.wait()  # the last frame is the worker's
     return grads, means
 """, """    if worker:
         worker.backprop([g.get(key) for key in keys[1::2]])
-    for i, key in enumerate(keys):
-        if key not in g:
-            continue  # the loss does not depend on this frame
-        if worker and i % 2:
-            _add(grads, worker.gradients())
-            worker.release()
-        else:
-            _add(grads, _frame_gradients(model, store, frames[key], g[key]))
+    for i in range(0, len(keys), 2 if worker else 1):
+        key = keys[i]  # the loss may not depend on this frame
+        # before the wait, so that the two processes compute at the same time
+        part = _frame_gradients(model, store, frames[key], g[key]) if key in g else {}
+        if worker and i:
+            worker.wait()  # the worker has added frame i - 1
+        _add(grads, part)
+        if worker and i + 1 < len(keys):
+            worker.turn()  # frame i + 1 may go in
+    if worker and len(keys) % 2 == 0:
+        worker.wait()  # the last frame is the worker's
     _add(grads, g)
     return grads, means
 """, equivalent="phase 2 reaches only temporal.* and phase 3 only the encoders, "
                 "so the two parts never add into one sum"),
-    Mutant("one slot for every worker frame", TRAIN,
-           "        return self.slots[n % 2]\n", "        return self.slots[0]\n"),
     Mutant("Adam rebinds a parameter instead of updating it in place",
            "src/fusionpose/params.py",
            "np.subtract(tensor.data, self.step_size * update, out=tensor.data)",
@@ -144,6 +138,9 @@ MUTANTS = (
            "len(cloud) > point_budget:", "len(cloud) >= point_budget:",
            equivalent="choosing all of a cloud's points without replacement and "
                       "sorting them gives the cloud back"),
+    Mutant("an entry's values written before its header", "src/fusionpose/params.py",
+           "chunks += [head, np.ascontiguousarray(arr, dtype=\"<f8\").reshape(-1).view(np.uint8)]",
+           "chunks += [np.ascontiguousarray(arr, dtype=\"<f8\").reshape(-1).view(np.uint8), head]"),
     Mutant("a written file not flushed to disk", "src/fusionpose/binfile.py",
            "            os.fsync(fh.fileno())\n", "",
            equivalent="the bytes a process reads back are the same whether or not "
